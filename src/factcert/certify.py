@@ -19,6 +19,7 @@ eligibility profile from scratch and re-evaluates the rule.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -35,8 +36,8 @@ RULE_BELOW_EXPONENT = "V_LESS_THAN_E"
 RULE_NOT_MULTIPLE = "V_NOT_MULTIPLE"
 
 DEFAULT_PRIME_BUDGET = 10_000
-# Beyond this gap, materializing the cofactor (m+1)...(n) * A + B for the
-# factorization fallback costs more than the certificate is worth.
+# Beyond this gap the cofactor A*(m+1)...(n) + B is too large for the budgeted
+# factorization fallback to pay for itself.
 RHO_COFACTOR_GAP_LIMIT = 6_000
 RECHECK_EXACT_LIMIT = 2_000
 
@@ -379,6 +380,17 @@ def window_primes(anchor: int) -> list[int]:
     return list(reversed(table.in_range(anchor // 2 + 1, anchor)))
 
 
+@functools.lru_cache(maxsize=4)
+def _budget_primorial(prime_budget: int) -> int:
+    """Product of the first prime_budget primes, built on first use."""
+    return math.prod(arith.first_primes(prime_budget))
+
+
+def _sum_cofactor(eq: Equation, n: int, m: int) -> int:
+    """C = a*(m+1)*...*n + b, so that a*n! + b*m! = m! * C."""
+    return eq.a * math.prod(range(m + 1, n + 1)) + eq.b
+
+
 def certify_cell(
     eq: Equation,
     cell: Sequence[int],
@@ -392,14 +404,20 @@ def certify_cell(
     Candidate order: primes in (anchor/2, anchor] descending (anchor = m for
     sum cells, max argument for product cells), then the first prime_budget
     primes ascending, then for sum cells the prime factors of the cofactor
-    a*(m+1)*...*n + b found by budgeted factorization.  The order only
-    affects which certificate is found first, never its validity.
+    C = a*(m+1)*...*n + b found by budgeted factorization.  For sum cells the
+    ascending scan skips every prime q > m that does not divide C: such q
+    divides neither m! nor C, and v_q(left) = v_q(m!) + v_q(C) = 0 admits no
+    rule.  The budgeted primes dividing C come from one gcd of C with their
+    product.  The order only affects which certificate is found first, never
+    its validity.
     """
     cell = eq.normalize_cell(cell)
     if left_is_zero(eq, cell):
         raise ZeroLeftSideError(f"left side is zero at cell {cell}")
     if prime_budget < 1:
         raise ValueError("prime_budget must be positive")
+    if eq.is_sum and cell[0] == cell[1]:
+        raise ValueError("need n > m >= 0")
     target = eq.target
     anchor = cell[1] if eq.is_sum else max(cell)
 
@@ -423,10 +441,23 @@ def certify_cell(
         if cert is not None:
             return cert
 
+    cofactor = None
+    unvisited = None  # product of the budgeted primes > m dividing C, not yet tried
     ascending = arith.first_primes(prime_budget)
     for q in ascending:
         if q in tried:
             continue
+        if eq.is_sum and q > anchor:
+            if unvisited is None:
+                cofactor = _sum_cofactor(eq, *cell)
+                g = math.gcd(_budget_primorial(prime_budget), cofactor)
+                # g is squarefree; dividing out gcd(g, m!) drops its primes <= m.
+                unvisited = g // math.gcd(g, math.factorial(anchor))
+            if unvisited == 1:
+                break
+            if unvisited % q:
+                continue
+            unvisited //= q
         cert = _attempt(q, ())
         if cert is not None:
             return cert
@@ -446,7 +477,8 @@ def certify_cell(
     n, m = cell
     if rho_steps <= 0 or n - m > RHO_COFACTOR_GAP_LIMIT:
         return None
-    cofactor = eq.a * math.prod(range(m + 1, n + 1)) + eq.b
+    if cofactor is None:
+        cofactor = _sum_cofactor(eq, n, m)
     exponents, _leftover = arith.partial_factor(abs(cofactor), rho_steps=rho_steps)
     for q in sorted(exponents):
         if q <= max_scanned or q in tried:

@@ -62,16 +62,6 @@ def _shift(coeffs, t: int) -> tuple:
     return tuple(work)
 
 
-def _mul(p, q) -> tuple:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
-
-
 def _divmod_frac(p, q):
     """Exact division over Q; returns (quotient, remainder) as Fraction tuples."""
     if not q:
@@ -229,11 +219,6 @@ class UnivariatePoly:
 
     def content(self) -> int:
         return _content(self.coeffs)
-
-    def plus_constant(self, k: int) -> "UnivariatePoly":
-        c = list(self.coeffs)
-        c[-1] += k
-        return UnivariatePoly(tuple(c))
 
     def __str__(self) -> str:
         return poly_text(self.coeffs, "x")
@@ -642,12 +627,6 @@ def is_positive_definite(form: BinaryForm) -> bool:
     return (
         form.degree == 2 and form.lead > 0 and quadratic_discriminant(form) < 0
     )
-
-
-def min_eigenvalue(form: BinaryForm) -> float:
-    """Smallest eigenvalue of the Gram matrix of a quadratic form."""
-    a, b, c = form.coeffs
-    return (a + c - math.sqrt((a - c) ** 2 + b * b)) / 2.0
 
 
 # ---------------------------------------------------------------------------

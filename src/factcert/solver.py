@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import arith
 from .certify import (
     DEFAULT_PRIME_BUDGET,
     Certificate,
@@ -305,59 +304,6 @@ def represent_general_form(
 
 
 # ---------------------------------------------------------------------------
-# Quadratic-residue pre-filter
-# ---------------------------------------------------------------------------
-
-
-def possible_square_mod(residue: int, p: int) -> bool:
-    """Euler criterion; True when residue can be a square mod p."""
-    if p == 2:
-        return True
-    r = residue % p
-    return r == 0 or pow(r, (p - 1) // 2, p) == 1
-
-
-def square_filter_value(value: int, p_list: Sequence[int]) -> bool:
-    """True = rejected: value is a quadratic non-residue mod some listed p."""
-    return any(not possible_square_mod(value, p) for p in p_list)
-
-
-def _factorial_mod(n: int, p: int) -> int:
-    if n >= p:
-        return 0
-    r = 1
-    for k in range(2, n + 1):
-        r = r * k % p
-    return r
-
-
-def square_filter(eq: Equation, cell: Sequence[int], p_list: Sequence[int]) -> bool:
-    """Reject a sum cell as a non-square by modular arithmetic only.
-
-    The target must be x^2 or x^2 + constant; the left side residue is built
-    from factorials mod p, never from the big integer.  True means rejected
-    (provably not representable); False says nothing.
-    """
-    if eq.poly is None:
-        raise ValueError("square filter needs a univariate target")
-    coeffs = eq.poly.coeffs
-    if len(coeffs) != 3 or coeffs[0] != 1 or coeffs[1] != 0:
-        raise ValueError("square filter needs target x^2 or x^2 + constant")
-    shift = coeffs[2]
-    cell = eq.normalize_cell(cell)
-    n, m = cell
-    for p in p_list:
-        if p == 2:
-            continue
-        if not arith.is_prime(p):
-            raise ValueError(f"filter modulus {p} is not prime")
-        t = (eq.a * _factorial_mod(n, p) + eq.b * _factorial_mod(m, p) - shift) % p
-        if not possible_square_mod(t, p):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # The search harness
 # ---------------------------------------------------------------------------
 
@@ -529,12 +475,6 @@ class SearchReport:
     @property
     def solutions(self) -> list[CellResult]:
         return [r for r in self.results if r.status is CellStatus.SOLUTION]
-
-    @property
-    def unknown_fraction(self) -> float:
-        if not self.results:
-            return 0.0
-        return self.totals.get(CellStatus.UNKNOWN.value, 0) / len(self.results)
 
     def to_dict(self) -> dict:
         return {

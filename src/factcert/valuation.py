@@ -16,10 +16,6 @@ from dataclasses import dataclass
 # extra digits beyond the factorial part and reports a lower bound instead.
 DEFAULT_CAP_MARGIN = 64
 
-# Gaps this small get an exact big-integer zero-cofactor test; larger gaps
-# make the rising product exceed any plausible |B/A| (41! > 3e49).
-_ZERO_TEST_GAP = 40
-
 
 class _ZeroCofactorMarker:
     """Singleton marker: A*R + B vanished, so the whole left side is zero."""
@@ -67,10 +63,6 @@ class ValuationResult:
     prime: int
     value: object
     exact: bool
-
-    @property
-    def is_zero_cofactor(self) -> bool:
-        return self.value is EXACT_ZERO_COFACTOR
 
 
 def legendre_valuation(n: int, p: int) -> int:
@@ -123,12 +115,7 @@ def _cofactor_is_zero(a: int, b: int, n: int, m: int) -> bool:
     target = -b // a
     if target <= 0:
         return False
-    if n - m <= _ZERO_TEST_GAP:
-        r = 1
-        for k in range(m + 1, n + 1):
-            r *= k
-        return r == target
-    # Wide gap: compare against the target with early exit once R exceeds it.
+    # R never shrinks, so stop as soon as it passes the target.
     r = 1
     for k in range(m + 1, n + 1):
         r *= k

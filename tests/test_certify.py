@@ -6,13 +6,14 @@ import math
 
 import pytest
 
-from factcert import certify
+from factcert import arith, certify, obstruction, valuation
 from factcert.certify import (
     Certificate,
     Equation,
     ZeroLeftSideError,
     certify_cell,
     in_hypothesis_region,
+    left_is_zero,
     left_valuation,
     left_value,
     recheck,
@@ -121,6 +122,81 @@ def test_zero_left_side_raises():
     eq = Equation.sum_binary(1, -1, (1, 0, 1))
     with pytest.raises(ZeroLeftSideError):
         certify_cell(eq, (4, 4))
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (1, 1), (7, 7)])
+def test_diagonal_cell_rejected(cell):
+    with pytest.raises(ValueError, match=r"need n > m >= 0"):
+        certify_cell(SUM_SQUARES, cell)
+
+
+def _reference_certify(eq, cell, prime_budget):
+    """The unfiltered scan: every window prime, then every budgeted prime."""
+    tried = set()
+
+    def attempt(q, notes):
+        tried.add(q)
+        profile = obstruction.obstruction_profile(eq.target, q)
+        if not profile.eligible:
+            return None
+        res = left_valuation(eq, cell, q)
+        if not res.exact:
+            return None
+        rule = certify._rule_outcome(profile, res.value)
+        if rule is None:
+            return None
+        return certify._certificate(eq, cell, profile, res.value, rule, notes)
+
+    for q in window_primes(cell[1]):
+        cert = attempt(q, ("window_prime",))
+        if cert is not None:
+            return cert
+    for q in arith.first_primes(prime_budget):
+        if q not in tried:
+            cert = attempt(q, ())
+            if cert is not None:
+                return cert
+    return None
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, -7), (2, 3), (-1, 5)])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda a, b: Equation.sum_binary(a, b, (1, 0, 1)),
+        lambda a, b: Equation.sum_binary(a, b, (1, 1, 1)),
+        lambda a, b: Equation.sum_binary(a, b, (1, 0, 0, 2)),
+        lambda a, b: Equation.sum_univariate(a, b, (1, 0, -2)),
+    ],
+    ids=["x2+y2", "x2+xy+y2", "x3+2y3", "x^2-2"],
+)
+def test_cofactor_filter_matches_reference_scan(make, a, b):
+    eq = make(a, b)
+    budget = 200  # primes up to 1223: some below m, most above
+    for n in range(1, 31):
+        for m in range(n):
+            if left_is_zero(eq, (n, m)):
+                continue
+            got = certify_cell(eq, (n, m), prime_budget=budget, rho_steps=0)
+            want = _reference_certify(eq, (n, m), budget)
+            assert (got and got.to_dict()) == (want and want.to_dict()), (n, m)
+
+
+def test_cofactor_filter_bounds_valuation_calls(monkeypatch):
+    calls = []
+    original = valuation.combined_valuation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(valuation, "combined_valuation", counting)
+    n, m = 16, 2  # 16! + 2 = 2 * 10461394944001, the cofactor a prime
+    assert certify_cell(SUM_SQUARES, (n, m), rho_steps=0) is None
+    cofactor = math.factorial(n) // math.factorial(m) + 1
+    budget = arith.first_primes(certify.DEFAULT_PRIME_BUDGET)
+    bound = sum(1 for q in budget if q <= m or cofactor % q == 0)
+    assert len(calls) <= bound
 
 
 def test_no_certificate_for_representable_value():

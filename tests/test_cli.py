@@ -212,6 +212,12 @@ def test_certify_missing_indices_is_input_error(capsys):
     assert code == cli.EXIT_INPUT
 
 
+def test_certify_diagonal_cell_is_input_error(capsys):
+    code, _, err = run_cli(["certify", "--form", "x2+y2", "--n", "1", "--m", "1"], capsys)
+    assert code == cli.EXIT_INPUT
+    assert "need n > m >= 0" in err
+
+
 # ---------------------------------------------------------------------------
 # obstruct-scan
 # ---------------------------------------------------------------------------

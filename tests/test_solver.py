@@ -18,11 +18,9 @@ from factcert.solver import (
     SearchTask,
     classify_cell,
     integer_root,
-    possible_square_mod,
     represent_definite_quadratic,
     run_search,
     solution_sup_bound,
-    square_filter,
 )
 
 SUM_X2 = Equation.sum_univariate(1, 1, (1, 0, 0))
@@ -98,23 +96,6 @@ def test_solution_sup_bound_contains_solutions():
             for y in range(-sup, sup + 1):
                 if form.evaluate(x, y) == target:
                     assert max(abs(x), abs(y)) <= sup
-
-
-def test_square_filter_never_rejects_squares():
-    primes = (3, 5, 7, 11, 13)
-    for n in range(2, 20):
-        for m in range(1, n):
-            value = math.factorial(n) + math.factorial(m)
-            s = math.isqrt(value)
-            if s * s == value:
-                assert not square_filter(SUM_X2, (n, m), primes), (n, m)
-
-
-def test_possible_square_mod():
-    for p in (3, 5, 7, 11):
-        squares = {(x * x) % p for x in range(p)}
-        for r in range(p):
-            assert possible_square_mod(r, p) is (r in squares)
 
 
 # ---------------------------------------------------------------------------
