@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 
@@ -13,6 +13,9 @@ DEFAULT_SIEVE_BUDGET = 200_000_000
 
 # Residue thresholds below are exact methods either way; the split is cost only.
 _SMALL_TRIAL_BOUND = 100_000
+
+# Pollard rho squarings a budgeted factorization spends before giving up.
+DEFAULT_RHO_STEPS = 200_000
 
 _LOG_PRECISION_BITS = 96  # primorial/radical sums need better than double
 
@@ -23,14 +26,10 @@ class SieveBudgetError(MemoryError):
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Primes up to an inclusive limit, with membership testing."""
+    """Primes up to an inclusive limit."""
 
     limit: int
     primes: tuple[int, ...]
-    _members: frozenset[int] = field(repr=False, default=frozenset())
-
-    def __contains__(self, n: int) -> bool:
-        return n in self._members
 
     def in_range(self, lo: int, hi: int) -> list[int]:
         """Primes p with lo <= p <= hi (hi must not exceed the table limit)."""
@@ -50,12 +49,6 @@ class FactorizationSketch:
     sign: int
     exponents: dict[int, int]
 
-    def value(self) -> int:
-        v = self.sign
-        for p, e in self.exponents.items():
-            v *= p**e
-        return v
-
 
 def sieve(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
     """Eratosthenes table of all primes <= limit."""
@@ -70,7 +63,7 @@ def sieve(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
             start = p * p
             flags[start::p] = bytearray((limit - start) // p + 1)
     primes = tuple(i for i in range(limit + 1) if flags[i])
-    return PrimeTable(limit=limit, primes=primes, _members=frozenset(primes))
+    return PrimeTable(limit=limit, primes=primes)
 
 
 @functools.lru_cache(maxsize=8)
@@ -141,74 +134,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int, seed: int = 1) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite n."""
-    if n % 2 == 0:
-        return 2
-    # Deterministic parameter schedule so repeated runs agree.
-    c = seed
-    while True:
-        y, m, g, r, q = 2 + c, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        c += 1
+def _pollard_brent(n: int, max_steps: float) -> int | None:
+    """Brent-cycle Pollard rho on odd composite n.
 
-
-def factor(a: int, trial_bound: int = _SMALL_TRIAL_BOUND) -> FactorizationSketch:
-    """Full factorization of a nonzero integer.
-
-    Trial division by sieved primes up to trial_bound, then Pollard-Brent on
-    the remaining cofactors.  Every reported prime passes is_prime.
+    Returns a nontrivial factor, or None after roughly max_steps squarings.
+    The parameter schedule c = 1, 2, ... is fixed so repeated runs agree.
     """
-    if a == 0:
-        raise ValueError("cannot factor 0")
-    sign = -1 if a < 0 else 1
-    n = abs(a)
-    exps: dict[int, int] = {}
-    if n > 1:
-        for p in cached_sieve(min(trial_bound, max(2, math.isqrt(n) + 1))).primes:
-            if p * p > n:
-                break
-            while n % p == 0:
-                exps[p] = exps.get(p, 0) + 1
-                n //= p
-        stack = [n] if n > 1 else []
-        while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
-            if is_prime(m):
-                exps[m] = exps.get(m, 0) + 1
-                continue
-            d = _pollard_brent(m)
-            stack.append(d)
-            stack.append(m // d)
-    return FactorizationSketch(sign=sign, exponents=dict(sorted(exps.items())))
-
-
-def _pollard_brent_budgeted(n: int, max_steps: int) -> int | None:
-    """Like _pollard_brent but gives up after roughly max_steps squarings."""
-    if n % 2 == 0:
-        return 2
     steps = 0
     c = 1
     while steps < max_steps:
@@ -241,14 +172,11 @@ def _pollard_brent_budgeted(n: int, max_steps: int) -> int | None:
     return None
 
 
-def partial_factor(
-    a: int, trial_bound: int = _SMALL_TRIAL_BOUND, rho_steps: int = 200_000
-) -> tuple[dict[int, int], list[int]]:
-    """Best-effort factorization under a work budget.
+def _factor(a: int, rho_steps: float) -> tuple[dict[int, int], list[int]]:
+    """Trial division up to _SMALL_TRIAL_BOUND, then rho on what remains.
 
-    Returns (prime_exponents, unfactored_cofactors).  The cofactors are
-    composite pieces the rho budget could not split; the product of all
-    reported primes (with multiplicity) and cofactors equals abs(a).
+    Returns (prime_exponents, unfactored_cofactors) of abs(a); a cofactor
+    is a composite piece that rho could not split within rho_steps.
     """
     if a == 0:
         raise ValueError("cannot factor 0")
@@ -256,7 +184,7 @@ def partial_factor(
     exps: dict[int, int] = {}
     leftovers: list[int] = []
     if n > 1:
-        for p in cached_sieve(min(trial_bound, max(2, math.isqrt(n) + 1))).primes:
+        for p in cached_sieve(min(_SMALL_TRIAL_BOUND, max(2, math.isqrt(n) + 1))).primes:
             if p * p > n:
                 break
             while n % p == 0:
@@ -264,19 +192,39 @@ def partial_factor(
                 n //= p
         stack = [n] if n > 1 else []
         while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
+            m = stack.pop()  # odd and > 1: rho returns d with 1 < d < m
             if is_prime(m):
                 exps[m] = exps.get(m, 0) + 1
                 continue
-            d = _pollard_brent_budgeted(m, rho_steps)
+            d = _pollard_brent(m, rho_steps)
             if d is None:
                 leftovers.append(m)
                 continue
             stack.append(d)
             stack.append(m // d)
     return dict(sorted(exps.items())), sorted(leftovers)
+
+
+def factor(a: int) -> FactorizationSketch:
+    """Full factorization of a nonzero integer.
+
+    Trial division by sieved primes, then Pollard-Brent without a step
+    budget on the remaining cofactors.  Every reported prime passes is_prime.
+    """
+    exps, _ = _factor(a, math.inf)
+    return FactorizationSketch(sign=-1 if a < 0 else 1, exponents=exps)
+
+
+def partial_factor(
+    a: int, rho_steps: int = DEFAULT_RHO_STEPS
+) -> tuple[dict[int, int], list[int]]:
+    """Best-effort factorization under a work budget.
+
+    Returns (prime_exponents, unfactored_cofactors).  The cofactors are
+    composite pieces the rho budget could not split; the product of all
+    reported primes (with multiplicity) and cofactors equals abs(a).
+    """
+    return _factor(a, rho_steps)
 
 
 def radical(a: int) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -276,9 +275,6 @@ class Certificate:
             out["notes"] = list(self.notes)
         return out
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
         family = Family(data["family"])
@@ -310,10 +306,6 @@ class Certificate:
             irreducible_declared=bool(data.get("irreducible_declared", False)),
             notes=tuple(data.get("notes", ())),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        return cls.from_dict(json.loads(text))
 
 
 def _rule_outcome(profile: obstruction.ObstructionProfile, v: int) -> str | None:
@@ -397,7 +389,7 @@ def certify_cell(
     *,
     prime_budget: int = DEFAULT_PRIME_BUDGET,
     cap_margin: int = valuation.DEFAULT_CAP_MARGIN,
-    rho_steps: int = 200_000,
+    rho_steps: int = arith.DEFAULT_RHO_STEPS,
 ) -> Certificate | None:
     """Search for a certificate at one cell; None when no tried prime works.
 
@@ -463,35 +455,25 @@ def certify_cell(
             return cert
     max_scanned = ascending[-1]
 
-    if not eq.is_sum:
+    if eq.is_sum:
+        n, m = cell
+        if rho_steps <= 0 or n - m > RHO_COFACTOR_GAP_LIMIT:
+            return None
+        if cofactor is None:
+            cofactor = _sum_cofactor(eq, n, m)
+        extra, _leftover = arith.partial_factor(abs(cofactor), rho_steps=rho_steps)
+        note = "cofactor_factor"
+    else:
         # Every prime in the left side divides some n_i!! or b; the scan above
         # covered everything up to max(anchor, budget), so only large prime
         # factors of b remain.
-        for q in sorted(arith.factor(eq.b).exponents):
-            if q > max_scanned and q not in tried:
-                cert = _attempt(q, ("multiplier_factor",))
-                if cert is not None:
-                    return cert
-        return None
-
-    n, m = cell
-    if rho_steps <= 0 or n - m > RHO_COFACTOR_GAP_LIMIT:
-        return None
-    if cofactor is None:
-        cofactor = _sum_cofactor(eq, n, m)
-    exponents, _leftover = arith.partial_factor(abs(cofactor), rho_steps=rho_steps)
-    for q in sorted(exponents):
-        if q <= max_scanned or q in tried:
-            continue
-        profile = obstruction.obstruction_profile(target, q)
-        if not profile.eligible:
-            continue
-        # q > max_scanned >= all window primes, so q does not divide m! and
-        # the full valuation is just its exponent in the cofactor.
-        v = exponents[q] + valuation.legendre_valuation(m, q)
-        rule = _rule_outcome(profile, v)
-        if rule is not None:
-            return _certificate(eq, cell, profile, v, rule, ("cofactor_factor",))
+        extra = arith.factor(eq.b).exponents
+        note = "multiplier_factor"
+    for q in sorted(extra):
+        if q > max_scanned and q not in tried:
+            cert = _attempt(q, (note,))
+            if cert is not None:
+                return cert
     return None
 
 

@@ -185,7 +185,7 @@ _DEFAULTS: dict[str, object] = {
     "range_override": False,
     "prime_budget": solver_mod.DEFAULT_PRIME_BUDGET,
     "ball_cap": solver_mod.DEFAULT_BALL_CAP,
-    "rho_steps": 200_000,
+    "rho_steps": solver_mod.DEFAULT_RHO_STEPS,
     "workers": 1,
     "checkpoint": None,
     "checkpoint_interval": 200,

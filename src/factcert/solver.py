@@ -9,17 +9,18 @@ runs the (n, m)-grid search that assigns every cell exactly one status.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import itertools
 import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .arith import DEFAULT_RHO_STEPS
 from .certify import (
     DEFAULT_PRIME_BUDGET,
     Certificate,
@@ -376,7 +377,7 @@ class SearchTask:
     include_diagonal: bool = False
     prime_budget: int = DEFAULT_PRIME_BUDGET
     ball_cap: int = DEFAULT_BALL_CAP
-    rho_steps: int = 200_000
+    rho_steps: int = DEFAULT_RHO_STEPS
     checkpoint_path: str | None = None
     checkpoint_interval: int = 200
     cross_check: bool = True
@@ -592,7 +593,7 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
     )
     if cert is not None:
         if task.cross_check:
-            _cross_check_certificate(task, eq, cell, cert)
+            _cross_check_certificate(task, eq, cell)
         return CellResult(
             cell, CellStatus.CERTIFIED, certificate=cert, hypothesis=hyp
         )
@@ -604,24 +605,20 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
     return CellResult(cell, status, witness=witness, note=note, hypothesis=hyp)
 
 
-def _cross_check_certificate(task, eq, cell, cert) -> None:
-    """Assert no solution exists where checking is cheap; soundness guard."""
-    target = eq.target
-    value = left_value(eq, cell)
-    if isinstance(target, UnivariatePoly):
-        if integer_root(target, value):
-            raise AssertionError(
-                f"certified cell {cell} has a solution: certificate unsound"
-            )
+def _cross_check_certificate(task: SearchTask, eq: Equation, cell) -> None:
+    """Assert no solution exists where checking is cheap; soundness guard.
+
+    Forms other than positive definite quadratics are skipped: without a
+    small enumeration bound their exact solve is far costlier than the
+    certificate it checks.
+    """
+    if isinstance(eq.target, BinaryForm) and not is_positive_definite(eq.target):
         return
-    if is_positive_definite(target) and value >= 0:
-        a, b, c = target.coeffs
-        bound = math.isqrt(4 * c * value // (4 * a * c - b * b)) + 1
-        if bound <= task.ball_cap:
-            if represent_definite_quadratic(target, value) is not None:
-                raise AssertionError(
-                    f"certified cell {cell} has a solution: certificate unsound"
-                )
+    status, _, _ = _solve_exact(eq, left_value(eq, cell), task.ball_cap)
+    if status is CellStatus.SOLUTION:
+        raise AssertionError(
+            f"certified cell {cell} has a solution: certificate unsound"
+        )
 
 
 def _write_checkpoint(path: str, task_hash: str, results: list[CellResult]) -> None:
@@ -653,8 +650,10 @@ def run_search(task: SearchTask) -> SearchReport:
     """Classify every cell in the task's range; resumable and deterministic.
 
     Results are produced in ascending (sum, cell) order regardless of worker
-    count.  With a checkpoint path, progress is flushed atomically every
-    checkpoint_interval cells and completed prefixes are never recomputed.
+    count.  workers > 1 runs cells in spawned processes, which re-import the
+    caller's main module: a calling script needs a __main__ guard.  With a
+    checkpoint path, progress is flushed atomically every checkpoint_interval
+    cells and completed prefixes are never recomputed.
     """
     t0 = time.perf_counter()
     task_hash = task.fingerprint()
@@ -670,7 +669,16 @@ def run_search(task: SearchTask) -> SearchReport:
 
     processed_new = 0
     idx = len(done)
-    pool = ThreadPoolExecutor(task.workers) if task.workers > 1 else None
+    classify = functools.partial(classify_cell, task)
+    pool = None
+    if task.workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # classify_cell is pure, so worker processes need only the task.
+        pool = ProcessPoolExecutor(
+            task.workers, mp_context=multiprocessing.get_context("spawn")
+        )
     try:
         while idx < len(cells):
             chunk_len = min(task.checkpoint_interval, len(cells) - idx)
@@ -685,9 +693,11 @@ def run_search(task: SearchTask) -> SearchReport:
                 chunk_len = min(chunk_len, room)
             chunk = cells[idx : idx + chunk_len]
             if pool is not None:
-                results = list(pool.map(lambda c: classify_cell(task, c), chunk))
+                # Batches of 10 cells halve the parent's dispatch cost and,
+                # on x2+y2 grids, balance the load as well as single cells.
+                results = list(pool.map(classify, chunk, chunksize=10))
             else:
-                results = [classify_cell(task, c) for c in chunk]
+                results = [classify(c) for c in chunk]
             done.extend(results)
             idx += chunk_len
             processed_new += chunk_len

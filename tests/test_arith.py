@@ -98,6 +98,8 @@ def test_partial_factor_reports_leftover_honestly():
         assert not arith.is_prime(c)
         reconstructed *= c
     assert reconstructed == p * q * 8
+    # without a step budget the same rho splits what 10 steps could not
+    assert arith.factor(p * q * 8).exponents == {2: 3, q: 1, p: 1}
 
 
 @given(st.integers(min_value=1, max_value=10**9))

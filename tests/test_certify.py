@@ -130,8 +130,10 @@ def test_diagonal_cell_rejected(cell):
         certify_cell(SUM_SQUARES, cell)
 
 
-def _reference_certify(eq, cell, prime_budget):
-    """The unfiltered scan: every window prime, then every budgeted prime."""
+def _reference_certify(eq, cell, prime_budget, rho_steps=0):
+    """The unfiltered scan: every window prime, then every budgeted prime,
+    then (rho_steps > 0) the prime factors of the cofactor, each valuation
+    found by dividing the left side itself."""
     tried = set()
 
     def attempt(q, notes):
@@ -139,21 +141,38 @@ def _reference_certify(eq, cell, prime_budget):
         profile = obstruction.obstruction_profile(eq.target, q)
         if not profile.eligible:
             return None
-        res = left_valuation(eq, cell, q)
-        if not res.exact:
-            return None
-        rule = certify._rule_outcome(profile, res.value)
+        if "cofactor_factor" in notes:
+            v, t = 0, abs(left_value(eq, cell))
+            while t % q == 0:
+                t //= q
+                v += 1
+        else:
+            res = left_valuation(eq, cell, q)
+            if not res.exact:
+                return None
+            v = res.value
+        rule = certify._rule_outcome(profile, v)
         if rule is None:
             return None
-        return certify._certificate(eq, cell, profile, res.value, rule, notes)
+        return certify._certificate(eq, cell, profile, v, rule, notes)
 
     for q in window_primes(cell[1]):
         cert = attempt(q, ("window_prime",))
         if cert is not None:
             return cert
-    for q in arith.first_primes(prime_budget):
+    budget = arith.first_primes(prime_budget)
+    for q in budget:
         if q not in tried:
             cert = attempt(q, ())
+            if cert is not None:
+                return cert
+    if rho_steps <= 0:
+        return None
+    cofactor = left_value(eq, cell) // math.factorial(cell[1])
+    exponents, _ = arith.partial_factor(cofactor, rho_steps=rho_steps)
+    for q in sorted(exponents):
+        if q > budget[-1] and q not in tried:
+            cert = attempt(q, ("cofactor_factor",))
             if cert is not None:
                 return cert
     return None
@@ -180,6 +199,25 @@ def test_cofactor_filter_matches_reference_scan(make, a, b):
             got = certify_cell(eq, (n, m), prime_budget=budget, rho_steps=0)
             want = _reference_certify(eq, (n, m), budget)
             assert (got and got.to_dict()) == (want and want.to_dict()), (n, m)
+
+
+@pytest.mark.parametrize(
+    "eq",
+    [Equation.sum_binary(1, 1, (1, 0, 1)), Equation.sum_binary(1, 1, (1, 1, 1))],
+    ids=["x2+y2", "x2+xy+y2"],
+)
+def test_rho_route_matches_reference(eq):
+    budget = 20  # primes up to 71: many cells are left to the rho route
+    routed = 0
+    for n in range(1, 31):
+        for m in range(n):
+            got = certify_cell(eq, (n, m), prime_budget=budget)
+            want = _reference_certify(
+                eq, (n, m), budget, rho_steps=arith.DEFAULT_RHO_STEPS
+            )
+            assert (got and got.to_dict()) == (want and want.to_dict()), (n, m)
+            routed += got is not None and got.notes == ("cofactor_factor",)
+    assert routed >= 20
 
 
 def test_cofactor_filter_bounds_valuation_calls(monkeypatch):

@@ -171,6 +171,28 @@ def test_no_certified_solution_conflict_small_grid():
             assert r.certificate is None
 
 
+@pytest.mark.parametrize(
+    "eq, cell, unsound",
+    [
+        (SUM_X2, (5, 4), True),  # 5! + 4! = 12^2
+        (SUM_SQUARES, (3, 2), True),  # 3! + 2! = 2^2 + 2^2
+        # 2! + 1! = 1^3 + 2*1^3, but indefinite forms are not re-solved
+        (Equation.sum_binary(1, 1, (1, 0, 0, 2)), (2, 1), False),
+    ],
+    ids=["x^2", "x2+y2", "x3+2y3"],
+)
+def test_cross_check_rejects_certificate_at_solution(monkeypatch, eq, cell, unsound):
+    fake = object()
+    monkeypatch.setattr(solver, "certify_cell", lambda *args, **kwargs: fake)
+    task = SearchTask(equation=eq, n_max=6)
+    if unsound:
+        with pytest.raises(AssertionError, match="certificate unsound"):
+            classify_cell(task, cell)
+    else:
+        assert classify_cell(task, cell).certificate is fake
+    assert classify_cell(dataclasses.replace(task, cross_check=False), cell).certificate is fake
+
+
 def test_statuses_partition_and_order_is_stable():
     task = SearchTask(equation=SUM_X2, n_max=12)
     report = run_search(task)
