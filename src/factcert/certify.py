@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import arith, obstruction, valuation
-from .forms import BinaryForm, UnivariatePoly
+from .forms import BinaryForm, UnivariatePoly, clear_denominators
 from .obstruction import REASON_LINEAR_MULTIPLICITY, REASON_NO_ROOT
 from .valuation import FactorialKind, FactorialSpec, _cofactor_is_zero
 
@@ -106,7 +106,7 @@ class Equation:
 
     @classmethod
     def sum_binary(cls, a: int, b: int, coeffs, **form_kwargs) -> "Equation":
-        ints, mult = _cleared(coeffs)
+        ints, mult = clear_denominators(coeffs)
         return cls(
             family=Family.SUM_FACT_BINARY,
             a=a * mult,
@@ -117,7 +117,7 @@ class Equation:
 
     @classmethod
     def sum_univariate(cls, a: int, b: int, coeffs) -> "Equation":
-        ints, mult = _cleared(coeffs)
+        ints, mult = clear_denominators(coeffs)
         return cls(
             family=Family.SUM_FACT_UNI,
             a=a * mult,
@@ -128,7 +128,7 @@ class Equation:
 
     @classmethod
     def product_binary(cls, b: int, coeffs, **form_kwargs) -> "Equation":
-        ints, mult = _cleared(coeffs)
+        ints, mult = clear_denominators(coeffs)
         return cls(
             family=Family.PROD_DFACT_BINARY,
             b=b * mult,
@@ -138,7 +138,7 @@ class Equation:
 
     @classmethod
     def product_univariate(cls, b: int, coeffs) -> "Equation":
-        ints, mult = _cleared(coeffs)
+        ints, mult = clear_denominators(coeffs)
         return cls(
             family=Family.PROD_DFACT_UNI,
             b=b * mult,
@@ -162,12 +162,6 @@ class Equation:
         return out
 
 
-def _cleared(coeffs) -> tuple[tuple[int, ...], int]:
-    from .forms import clear_denominators
-
-    return clear_denominators(coeffs)
-
-
 def left_is_zero(eq: Equation, cell: Sequence[int]) -> bool:
     """Exact zero test for the left side at a cell, without big factorials."""
     cell = eq.normalize_cell(cell)
@@ -186,20 +180,14 @@ def left_value(eq: Equation, cell: Sequence[int]) -> int:
     return eq.b * math.prod(valuation.double_factorial_exact(c) for c in cell)
 
 
-def left_valuation(
-    eq: Equation,
-    cell: Sequence[int],
-    q: int,
-    cap_margin: int = valuation.DEFAULT_CAP_MARGIN,
-) -> valuation.ValuationResult:
+def left_valuation(eq: Equation, cell: Sequence[int], q: int) -> int:
+    """Exact v_q of the left side at a cell (n > m for sum cells)."""
     cell = eq.normalize_cell(cell)
     if eq.is_sum:
         n, m = cell
-        return valuation.combined_valuation(eq.a, eq.b, n, m, q, cap_margin)
+        return valuation.combined_valuation(eq.a, eq.b, n, m, q)
     specs = [FactorialSpec(FactorialKind.DOUBLE_FACTORIAL, c) for c in cell]
-    return valuation.ValuationResult(
-        prime=q, value=valuation.product_valuation(eq.b, specs, q), exact=True
-    )
+    return valuation.product_valuation(eq.b, specs, q)
 
 
 @dataclass(frozen=True)
@@ -388,7 +376,6 @@ def certify_cell(
     cell: Sequence[int],
     *,
     prime_budget: int = DEFAULT_PRIME_BUDGET,
-    cap_margin: int = valuation.DEFAULT_CAP_MARGIN,
     rho_steps: int = arith.DEFAULT_RHO_STEPS,
 ) -> Certificate | None:
     """Search for a certificate at one cell; None when no tried prime works.
@@ -420,13 +407,11 @@ def certify_cell(
         profile = obstruction.obstruction_profile(target, q)
         if not profile.eligible:
             return None
-        res = left_valuation(eq, cell, q, cap_margin)
-        if not res.exact:
-            return None
-        rule = _rule_outcome(profile, res.value)
+        v = left_valuation(eq, cell, q)
+        rule = _rule_outcome(profile, v)
         if rule is None:
             return None
-        return _certificate(eq, cell, profile, res.value, rule, notes)
+        return _certificate(eq, cell, profile, v, rule, notes)
 
     for q in window_primes(anchor):
         cert = _attempt(q, ("window_prime",))
@@ -508,10 +493,7 @@ def recheck(cert: Certificate, *, deep: bool = False) -> bool:
                 t //= q
                 v += 1
         else:
-            res = left_valuation(eq, cell, q)
-            if not res.exact:
-                return False
-            v = res.value
+            v = left_valuation(eq, cell, q)
         if v != cert.valuation:
             return False
 

@@ -322,26 +322,25 @@ def build_equation(cfg: dict) -> certify_mod.Equation:
     family = str(cfg.get("family", "sum")).lower()
     if family not in ("sum", "prod"):
         raise CLIInputError(f"unknown family {family!r}; use sum or prod")
-    kind, coeffs, bundle_key = _target_spec(cfg)
+    target, mult = _bare_target(cfg)
     a, b = int(cfg.get("a", 1)), int(cfg.get("b", 1))
+    binary = isinstance(target, forms_mod.BinaryForm)
+    Family = certify_mod.Family
+    if family == "sum":
+        fam = Family.SUM_FACT_BINARY if binary else Family.SUM_FACT_UNI
+        a *= mult
+    else:
+        fam = Family.PROD_DFACT_BINARY if binary else Family.PROD_DFACT_UNI
+        a = 1  # product families have no a
     try:
-        if kind == "form":
-            bundled = forms_mod.BUNDLED_FORMS.get(bundle_key) if bundle_key else None
-            if bundled is not None and all(f.denominator == 1 for f in coeffs):
-                fam = (
-                    certify_mod.Family.SUM_FACT_BINARY
-                    if family == "sum"
-                    else certify_mod.Family.PROD_DFACT_BINARY
-                )
-                if family == "sum":
-                    return certify_mod.Equation(family=fam, a=a, b=b, form=bundled)
-                return certify_mod.Equation(family=fam, b=b, form=bundled)
-            if family == "sum":
-                return certify_mod.Equation.sum_binary(a, b, coeffs)
-            return certify_mod.Equation.product_binary(b, coeffs)
-        if family == "sum":
-            return certify_mod.Equation.sum_univariate(a, b, coeffs)
-        return certify_mod.Equation.product_univariate(b, coeffs)
+        return certify_mod.Equation(
+            family=fam,
+            a=a,
+            b=b * mult,
+            form=target if binary else None,
+            poly=None if binary else target,
+            scaling=mult,
+        )
     except ValueError as exc:
         raise CLIInputError(str(exc)) from None
 

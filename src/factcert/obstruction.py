@@ -56,8 +56,6 @@ class ObstructionProfile:
     total_degree: int
     univariate: bool
     unbounded: bool = False
-    multiplicity: int | None = None
-    notes: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +193,6 @@ def is_obstruction_prime(form: BinaryForm, q: int) -> ObstructionProfile:
             total_degree=d,
             univariate=False,
         )
-    notes = ()
-    if d > 4 and form.irreducible_declared:
-        notes = ("irreducibility declared by caller, not verified",)
     return ObstructionProfile(
         q=q,
         eligible=True,
@@ -206,7 +201,6 @@ def is_obstruction_prime(form: BinaryForm, q: int) -> ObstructionProfile:
         excluded_reason=None,
         total_degree=d,
         univariate=False,
-        notes=notes,
     )
 
 
@@ -216,7 +210,7 @@ def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfil
     if form.factors is None:
         form = form.with_found_factors()  # raises past degree 4
 
-    def ineligible(why, note=()):
+    def ineligible(why):
         return ObstructionProfile(
             q=q,
             eligible=False,
@@ -225,7 +219,6 @@ def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfil
             excluded_reason=why,
             total_degree=form.degree,
             univariate=False,
-            notes=tuple(note),
         )
 
     if min(f.degree * e for f, e in form.factors) == 1:
@@ -238,7 +231,7 @@ def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfil
     for f, _ in higher:
         excluded = _irreducible_factor_checks(f, q)
         if excluded is not None:
-            return ineligible(excluded, (f"factor {f}",))
+            return ineligible(excluded)
 
     if not linear:
         return ObstructionProfile(
@@ -261,7 +254,7 @@ def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfil
     # vanish there or mixed contributions break the multiple-of-e pattern.
     for f, _ in higher:
         if f.evaluate(-beta, alpha) % q == 0:
-            return ineligible(EXCLUDED_SHARED_ROOT, (f"factor {f}",))
+            return ineligible(EXCLUDED_SHARED_ROOT)
     return ObstructionProfile(
         q=q,
         eligible=True,
@@ -270,7 +263,6 @@ def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfil
         excluded_reason=None,
         total_degree=form.degree,
         univariate=False,
-        multiplicity=mult,
     )
 
 
@@ -286,7 +278,7 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
     _require_prime(q)
     d = poly.degree
 
-    def ineligible(why, note=()):
+    def ineligible(why):
         return ObstructionProfile(
             q=q,
             eligible=False,
@@ -295,7 +287,6 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
             excluded_reason=why,
             total_degree=d,
             univariate=True,
-            notes=tuple(note),
         )
 
     if not has_root_mod_q(poly.coeffs, q):
@@ -310,7 +301,7 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
             unbounded=True,
         )
     if d > 4:
-        return ineligible(EXCLUDED_HAS_ROOT, ("degree > 4: no native factor split",))
+        return ineligible(EXCLUDED_HAS_ROOT)
     constant, factors = factor_univariate(poly.coeffs)
     if constant % q == 0:
         return ineligible(EXCLUDED_DIVIDES_CONSTANT)
@@ -327,7 +318,7 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
         return ineligible(EXCLUDED_DEGENERATE_LINEAR)
     for fc, _ in higher:
         if has_root_mod_q(fc, q):
-            return ineligible(EXCLUDED_HAS_ROOT, (f"factor degree {len(fc)-1}",))
+            return ineligible(EXCLUDED_HAS_ROOT)
     return ObstructionProfile(
         q=q,
         eligible=True,
@@ -336,7 +327,6 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
         excluded_reason=None,
         total_degree=d,
         univariate=True,
-        multiplicity=mult,
     )
 
 

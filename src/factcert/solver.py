@@ -216,15 +216,6 @@ def represent_definite_quadratic(
     return None
 
 
-class BallVerdict(enum.Enum):
-    NONE_IN_BALL = "NONE_IN_BALL"
-    UNKNOWN_BEYOND_BALL = "UNKNOWN_BEYOND_BALL"
-
-
-NONE_IN_BALL = BallVerdict.NONE_IN_BALL
-UNKNOWN_BEYOND_BALL = BallVerdict.UNKNOWN_BEYOND_BALL
-
-
 def _definite_quadratic_floor(g: BinaryForm) -> Fraction:
     """lam with |g(x,y)| >= lam * (x^2 + y^2) for a definite quadratic g."""
     a, b, c = g.coeffs
@@ -267,23 +258,17 @@ def solution_sup_bound(form: BinaryForm, target: int) -> int | None:
 
 def represent_general_form(
     form: BinaryForm, target: int, ball: int
-) -> tuple[int, int] | BallVerdict:
-    """Bounded search for f(x,y) = target over |x| <= ball, exact in y.
+) -> tuple[int, int] | None:
+    """A solution of f(x,y) = target with |x| <= ball, or None if there is none.
 
     Each x-slice is solved completely (integer_root), so a hit can report y
-    beyond the ball.  NONE_IN_BALL is returned when nothing was found and a
-    rigorous solution bound fits inside the ball (a genuine proof of
-    non-representability); UNKNOWN_BEYOND_BALL otherwise.
+    beyond the ball.  None says nothing about solutions with |x| > ball.
     """
     if ball < 1:
         raise ValueError("ball must be positive")
     if target == 0:
         return (0, 0)
-    if target % form.content():
-        # content divides every represented value; exhaustive at any radius
-        return NONE_IN_BALL
     d = form.degree
-    best: tuple[int, int] | None = None
     for x in range(0, ball + 1):
         for sx in ((x,) if x == 0 else (x, -x)):
             # f(sx, y) as a univariate in y, descending
@@ -298,10 +283,7 @@ def represent_general_form(
             if roots:
                 y = min(roots, key=lambda r: (abs(r), r < 0))
                 return (sx, y)
-    sup = solution_sup_bound(form, target)
-    if sup is not None and sup <= ball:
-        return NONE_IN_BALL
-    return UNKNOWN_BEYOND_BALL
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -509,36 +491,31 @@ def _solve_exact(
         if pair is not None:
             return CellStatus.SOLUTION, pair, ""
         return CellStatus.NONE_EXHAUSTIVE, None, "exhaustive_definite"
+    if target_value % target.content():
+        # content divides every represented value
+        return CellStatus.NONE_EXHAUSTIVE, None, "exhaustive_in_bound"
     sup = solution_sup_bound(target, target_value)
-    if sup is not None and sup <= ball_cap:
-        ball = sup
-    else:
-        ball = min(ball_cap, GENERAL_ENUM_CAP)
-    verdict = represent_general_form(target, target_value, ball)
-    if isinstance(verdict, tuple):
-        return CellStatus.SOLUTION, verdict, ""
-    if verdict is NONE_IN_BALL:
+    exhaustive = sup is not None and sup <= ball_cap
+    ball = sup if exhaustive else min(ball_cap, GENERAL_ENUM_CAP)
+    pair = represent_general_form(target, target_value, ball)
+    if pair is not None:
+        return CellStatus.SOLUTION, pair, ""
+    if exhaustive:
         return CellStatus.NONE_EXHAUSTIVE, None, "exhaustive_in_bound"
     return CellStatus.UNKNOWN, None, "ball_exhausted"
 
 
-def _verify_witness(eq: Equation, cell, witness, diagonal: bool, single: bool):
-    target = eq.target
-    if single:
-        expected = math.factorial(cell[0])
-    elif diagonal:
-        expected = (eq.a + eq.b) * math.factorial(cell[0])
-    else:
-        expected = left_value(eq, cell)
-    got = (
-        target.evaluate(*witness)
-        if isinstance(target, BinaryForm)
-        else target.evaluate(witness[0])
-    )
-    if got != expected:
+def _solve_cell(
+    task: SearchTask, cell, value: int, note: str, hypothesis: bool | None
+) -> CellResult:
+    """Exact solving of one left-side value; a witness is re-evaluated."""
+    status, witness, solve_note = _solve_exact(task.equation, value, task.ball_cap)
+    if witness is not None and task.equation.target.evaluate(*witness) != value:
         raise AssertionError(
             f"witness {witness} fails direct evaluation at cell {cell}"
         )
+    note = f"{note} {solve_note}".strip()
+    return CellResult(cell, status, witness=witness, note=note, hypothesis=hypothesis)
 
 
 def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
@@ -552,11 +529,7 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
     eq = task.equation
 
     if task.single_factorial:
-        value = math.factorial(cell[0])
-        status, witness, note = _solve_exact(eq, value, task.ball_cap)
-        if status is CellStatus.SOLUTION:
-            _verify_witness(eq, cell, witness, diagonal=False, single=True)
-        return CellResult(cell, status, witness=witness, note=note)
+        return _solve_cell(task, cell, math.factorial(cell[0]), "", None)
 
     hyp = in_hypothesis_region(eq, cell)
 
@@ -569,16 +542,7 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
                 hypothesis=hyp,
             )
         value = (eq.a + eq.b) * math.factorial(cell[0])
-        status, witness, note = _solve_exact(eq, value, task.ball_cap)
-        if status is CellStatus.SOLUTION:
-            _verify_witness(eq, cell, witness, diagonal=True, single=False)
-        return CellResult(
-            cell,
-            status,
-            witness=witness,
-            note=("diagonal_reduced " + note).strip(),
-            hypothesis=hyp,
-        )
+        return _solve_cell(task, cell, value, "diagonal_reduced", hyp)
 
     if left_is_zero(eq, cell):
         return CellResult(
@@ -598,11 +562,7 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
             cell, CellStatus.CERTIFIED, certificate=cert, hypothesis=hyp
         )
 
-    value = left_value(eq, cell)
-    status, witness, note = _solve_exact(eq, value, task.ball_cap)
-    if status is CellStatus.SOLUTION:
-        _verify_witness(eq, cell, witness, diagonal=False, single=False)
-    return CellResult(cell, status, witness=witness, note=note, hypothesis=hyp)
+    return _solve_cell(task, cell, left_value(eq, cell), "", hyp)
 
 
 def _cross_check_certificate(task: SearchTask, eq: Equation, cell) -> None:
@@ -674,6 +634,7 @@ def run_search(task: SearchTask) -> SearchReport:
     if task.workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # classify_cell is pure, so worker processes need only the task.
         pool = ProcessPoolExecutor(
@@ -695,7 +656,13 @@ def run_search(task: SearchTask) -> SearchReport:
             if pool is not None:
                 # Batches of 10 cells halve the parent's dispatch cost and,
                 # on x2+y2 grids, balance the load as well as single cells.
-                results = list(pool.map(classify, chunk, chunksize=10))
+                try:
+                    results = list(pool.map(classify, chunk, chunksize=10))
+                except BrokenProcessPool as exc:
+                    raise RuntimeError(
+                        "a search worker process died; with workers > 1 a "
+                        "calling script needs an if __name__ == '__main__': guard"
+                    ) from exc
             else:
                 results = [classify(c) for c in chunk]
             done.extend(results)

@@ -12,27 +12,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-# Lifting cap margin: the cofactor valuation search gives up past this many
-# extra digits beyond the factorial part and reports a lower bound instead.
-DEFAULT_CAP_MARGIN = 64
-
-
-class _ZeroCofactorMarker:
-    """Singleton marker: A*R + B vanished, so the whole left side is zero."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EXACT_ZERO_COFACTOR"
-
-
-EXACT_ZERO_COFACTOR = _ZeroCofactorMarker()
-
 
 class FactorialKind(enum.Enum):
     FACTORIAL = "factorial"
@@ -49,20 +28,6 @@ class FactorialSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("factorial argument must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ValuationResult:
-    """Valuation of a left-side integer at one prime.
-
-    value is EXACT_ZERO_COFACTOR when the left side is identically zero;
-    otherwise a nonnegative integer.  exact=False means the lifting cap was
-    hit and value is only a lower bound.
-    """
-
-    prime: int
-    value: object
-    exact: bool
 
 
 def legendre_valuation(n: int, p: int) -> int:
@@ -124,20 +89,13 @@ def _cofactor_is_zero(a: int, b: int, n: int, m: int) -> bool:
     return r == target
 
 
-def combined_valuation(
-    a: int,
-    b: int,
-    n: int,
-    m: int,
-    q: int,
-    cap_margin: int = DEFAULT_CAP_MARGIN,
-) -> ValuationResult:
+def combined_valuation(a: int, b: int, n: int, m: int, q: int) -> int:
     """Exact v_q(a*n! + b*m!) for n > m >= 0, without building the integer.
 
     v_q(a*n! + b*m!) = v_q(m!) + v_q(a*R + b), R = (m+1)*...*n.  The cofactor
     valuation comes from residues mod q^k for doubling k; any nonzero residue
-    is decisive.  If the valuation exceeds v_q(m!) + cap_margin the result is
-    flagged inexact and carries that bound.
+    is decisive, and a nonzero cofactor has one at some finite k.  Raises
+    ValueError when a*R + b == 0, where no valuation exists.
     """
     if a == 0 or b == 0:
         raise ValueError("left-side multipliers must be nonzero")
@@ -146,23 +104,17 @@ def combined_valuation(
     if not 2 <= q:
         raise ValueError("q must be a prime (at least 2)")
     if _cofactor_is_zero(a, b, n, m):
-        return ValuationResult(prime=q, value=EXACT_ZERO_COFACTOR, exact=True)
-    base = legendre_valuation(m, q)
-    cap = cap_margin + base
+        raise ValueError("the left side is zero: no valuation")
     k = 4
     while True:
-        k = min(k, cap)
         modulus = q**k
-        r = rising_product_mod(m, n, modulus)
-        c = (a * r + b) % modulus
+        c = (a * rising_product_mod(m, n, modulus) + b) % modulus
         if c:
-            v = 0
+            v = legendre_valuation(m, q)
             while c % q == 0:
                 c //= q
                 v += 1
-            return ValuationResult(prime=q, value=base + v, exact=True)
-        if k >= cap:
-            return ValuationResult(prime=q, value=base + cap, exact=False)
+            return v
         k *= 2
 
 

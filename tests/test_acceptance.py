@@ -125,7 +125,7 @@ def test_criterion_03_valuation_oracle_grid():
                             v += 1
                         res = combined_valuation(a, b, n, m, q)
                         checked += 1
-                        if not (res.exact and res.value == v):
+                        if res != v:
                             mismatches += 1
     assert checked > 35000
     assert mismatches == 0

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from factcert import cli
+from factcert.certify import Equation
+from factcert.forms import BUNDLED_FORMS
 
 
 def run_cli(argv, capsys):
@@ -47,6 +49,38 @@ def test_token_grammar_rejections():
         cli.parse_poly_token("")
     with pytest.raises(cli.CLIInputError, match="cannot parse"):
         cli.parse_form_token("x2+z2")
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        ({"form": "x2+y2", "a": 2, "b": -3}, Equation.sum_binary(2, -3, (1, 0, 1))),
+        (
+            {"form": "1/2x2+y2"},
+            Equation.sum_binary(1, 1, (Fraction(1, 2), 0, 1)),
+        ),
+        (
+            {"family": "prod", "form": "x3+2y3", "b": 5},
+            Equation.product_binary(5, (1, 0, 0, 2)),
+        ),
+        (
+            {"poly": "1/2x^2-1/2", "a": 3},
+            Equation.sum_univariate(3, 1, (Fraction(1, 2), 0, Fraction(-1, 2))),
+        ),
+        (
+            {"family": "prod", "kind": "poly", "coeffs": "1/3,0,0", "b": 2},
+            Equation.product_univariate(2, (Fraction(1, 3), 0, 0)),
+        ),
+    ],
+)
+def test_build_equation_matches_constructors(cfg, expected):
+    assert cli.build_equation(cfg) == expected
+
+
+def test_build_equation_keeps_bundled_factorization():
+    eq = cli.build_equation({"form": "x4+2x2y2+y4"})
+    assert eq.form is BUNDLED_FORMS["x4+2x2y2+y4"]
+    assert (eq.a, eq.b, eq.scaling) == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------

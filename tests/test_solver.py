@@ -4,11 +4,16 @@ determinism."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import factcert
 from factcert import solver
 from factcert.certify import Equation
 from factcert.forms import BUNDLED_POLYS, BinaryForm, UnivariatePoly
@@ -96,6 +101,26 @@ def test_solution_sup_bound_contains_solutions():
             for y in range(-sup, sup + 1):
                 if form.evaluate(x, y) == target:
                     assert max(abs(x), abs(y)) <= sup
+
+
+@pytest.mark.parametrize(
+    "coeffs, value, ball_cap, status, witness, note",
+    [
+        # content 2 never divides 7
+        ((2, 0, 0, 2), 7, None, "NONE_EXHAUSTIVE", None, "exhaustive_in_bound"),
+        # negative definite: the solution bound fits inside the ball
+        ((-1, 0, -1), -7, None, "NONE_EXHAUSTIVE", None, "exhaustive_in_bound"),
+        ((-1, 0, -1), -5, None, "SOLUTION", (1, 2), ""),
+        # indefinite cubic: no solution bound, so an empty ball proves nothing
+        ((1, 0, 0, 2), 121, 50, "UNKNOWN", None, "ball_exhausted"),
+        ((1, 0, 0, 2), 3, None, "SOLUTION", (1, 1), ""),
+    ],
+)
+def test_solve_exact_general_forms(coeffs, value, ball_cap, status, witness, note):
+    eq = Equation.sum_binary(1, 1, coeffs)
+    cap = solver.DEFAULT_BALL_CAP if ball_cap is None else ball_cap
+    got = solver._solve_exact(eq, value, cap)
+    assert got == (CellStatus(status), witness, note)
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +266,25 @@ def test_workers_do_not_change_results():
     base = run_search(SearchTask(equation=SUM_X2, n_max=18))
     quad = run_search(SearchTask(equation=SUM_X2, n_max=18, workers=4))
     assert _report_blob(base) == _report_blob(quad)
+
+
+def test_unguarded_worker_script_gets_clear_error(tmp_path):
+    # spawned workers re-import the script, whose top level starts a search
+    # again before their bootstrap is done, so each worker dies
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "from factcert.certify import Equation\n"
+        "from factcert.solver import SearchTask, run_search\n"
+        "eq = Equation.sum_univariate(1, 1, (1, 0, 0))\n"
+        "run_search(SearchTask(equation=eq, n_max=6, workers=2))\n"
+    )
+    src = str(Path(factcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("RuntimeError: a search worker process died")
+    assert "__main__" in last

@@ -8,6 +8,7 @@ builds it.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,8 +69,7 @@ def test_combined_valuation_oracle_grid():
                     continue
                 for q in primes:
                     res = valuation.combined_valuation(a, b, n, m, q)
-                    assert res.exact, (a, b, n, m, q)
-                    assert res.value == _exact_valuation(left, q), (a, b, n, m, q)
+                    assert res == _exact_valuation(left, q), (a, b, n, m, q)
 
 
 @given(
@@ -87,27 +87,22 @@ def test_combined_valuation_property(n, m, a, b, q):
     if left == 0:
         return
     res = valuation.combined_valuation(a, b, n, m, q)
-    true_v = _exact_valuation(left, q)
-    if res.exact:
-        assert res.value == true_v
-    else:
-        # capped result is a certified lower bound, never an overcount
-        assert res.value <= true_v
+    assert res == _exact_valuation(left, q)
 
 
-def test_combined_valuation_cap_is_honest():
-    # a, b chosen so the cofactor is divisible by a tower of 2s; a tiny cap
-    # margin forces the capped branch
+def test_combined_valuation_exact_far_past_factorial_part():
+    # cofactor 3*11 + 2**300 - 33 = 2**300: lifting must run to k = 512
     n, m, q = 11, 10, 2
-    # cofactor a*11 + b with a=3, b=2**30 - 33 leaves v_2 large
-    a = 3
-    b = 2**30 - 33
-    res = valuation.combined_valuation(a, b, n, m, q, cap_margin=2)
+    a, b = 3, 2**300 - 33
     left = a * math.factorial(n) + b * math.factorial(m)
-    true_v = _exact_valuation(left, q)
-    assert res.value <= true_v
-    if not res.exact:
-        assert true_v >= res.value
+    assert _exact_valuation(left, q) > 300
+    assert valuation.combined_valuation(a, b, n, m, q) == _exact_valuation(left, q)
+
+
+def test_combined_valuation_zero_left_side_raises():
+    # 1*2! - 2*1! == 0 has no valuation
+    with pytest.raises(ValueError):
+        valuation.combined_valuation(1, -2, 2, 1, 3)
 
 
 def test_product_valuation_matches_direct():
