@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from factcert import cli
-from factcert.certify import Equation
+from factcert.certify import Equation, Family
 from factcert.forms import BUNDLED_FORMS
 
 
@@ -71,16 +71,15 @@ def test_token_grammar_rejections():
             {"family": "prod", "kind": "poly", "coeffs": "1/3,0,0", "b": 2},
             Equation.product_univariate(2, (Fraction(1, 3), 0, 0)),
         ),
+        # a bundled form keeps its declared factor list
+        (
+            {"form": "x4+2x2y2+y4"},
+            Equation(Family.SUM_FACT_BINARY, form=BUNDLED_FORMS["x4+2x2y2+y4"]),
+        ),
     ],
 )
 def test_build_equation_matches_constructors(cfg, expected):
     assert cli.build_equation(cfg) == expected
-
-
-def test_build_equation_keeps_bundled_factorization():
-    eq = cli.build_equation({"form": "x4+2x2y2+y4"})
-    assert eq.form is BUNDLED_FORMS["x4+2x2y2+y4"]
-    assert (eq.a, eq.b, eq.scaling) == (1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
