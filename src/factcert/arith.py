@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -35,8 +36,6 @@ class PrimeTable:
         """Primes p with lo <= p <= hi (hi must not exceed the table limit)."""
         if hi > self.limit:
             raise ValueError(f"range end {hi} exceeds table limit {self.limit}")
-        import bisect
-
         i = bisect.bisect_left(self.primes, lo)
         j = bisect.bisect_right(self.primes, hi)
         return list(self.primes[i:j])
@@ -70,6 +69,18 @@ def sieve(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
 def cached_sieve(limit: int) -> PrimeTable:
     """Memoized sieve for the hot paths (trial division, prime scans)."""
     return sieve(limit)
+
+
+def primes_upto(limit: int) -> tuple[int, ...]:
+    """Primes p <= limit, ascending, sliced from one shared table.
+
+    The table reaches at least _SMALL_TRIAL_BOUND, which trial division needs
+    anyway, so callers asking for many small limits (one window per anchor,
+    one factorial sketch per cell) neither sieve per limit nor evict the
+    trial-division table from cached_sieve's LRU.
+    """
+    primes = cached_sieve(max(limit, _SMALL_TRIAL_BOUND)).primes
+    return primes[: bisect.bisect_right(primes, limit)]
 
 
 def nth_prime_upper_bound(n: int) -> int:
@@ -184,7 +195,7 @@ def _factor(a: int, rho_steps: float) -> tuple[dict[int, int], list[int]]:
     exps: dict[int, int] = {}
     leftovers: list[int] = []
     if n > 1:
-        for p in cached_sieve(min(_SMALL_TRIAL_BOUND, max(2, math.isqrt(n) + 1))).primes:
+        for p in primes_upto(_SMALL_TRIAL_BOUND):
             if p * p > n:
                 break
             while n % p == 0:

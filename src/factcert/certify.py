@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -354,10 +355,8 @@ def window_primes(anchor: int) -> list[int]:
     certificate candidates: the factorial part contributes valuation 1 and
     only the small cofactor can push it higher.
     """
-    if anchor < 2:
-        return []
-    table = arith.cached_sieve(anchor)
-    return list(reversed(table.in_range(anchor // 2 + 1, anchor)))
+    primes = reversed(arith.primes_upto(anchor))
+    return list(itertools.takewhile(lambda p: 2 * p > anchor, primes))
 
 
 @functools.lru_cache(maxsize=4)

@@ -42,9 +42,9 @@ from .forms import (
 )
 
 DEFAULT_BALL_CAP = 2_000_000
-# Per-slice exact solving makes general-form enumeration ~100x pricier per
-# radius step than the definite-quadratic loop, so without a rigorous
-# solution bound the harness caps the radius here instead of at ball_cap.
+# Radius of the general-form search when no rigorous solution bound fits
+# inside ball_cap: it bounds how many x-slices an UNKNOWN cell costs, and
+# changing it changes which cells find a witness, so outputs depend on it.
 GENERAL_ENUM_CAP = 10_000
 
 
@@ -170,10 +170,31 @@ def _real_root_floors(coeffs: Sequence[int]) -> list[int]:
 
 
 def integer_root(f: UnivariatePoly, target: int) -> list[int]:
-    """All integers x with f(x) == target, sorted ascending.  Complete."""
+    """All integers x with f(x) == target, sorted ascending.  Complete.
+
+    A binomial g = f - target = c*x^d + e (every coefficient strictly between
+    the leading and the constant one zero, so every linear g) is answered in
+    closed form: x^d = -e/c has an integer root only if c divides e and
+    -e/c is a perfect d-th power.  Any other polynomial goes through real
+    root isolation (_real_root_floors) and an exact test of each candidate.
+    """
     if f.degree < 1:
         raise ValueError("need degree >= 1")
     g = tuple(f.coeffs[:-1]) + (f.coeffs[-1] - target,)
+    if not any(g[1:-1]):
+        c, e = g[0], g[-1]
+        d = len(g) - 1
+        if e % c:
+            return []
+        t = -e // c
+        if t < 0 and d % 2 == 0:
+            return []
+        r = _nth_root_floor(abs(t), d)
+        if r**d != abs(t):
+            return []
+        if t == 0:
+            return [0]
+        return [-r, r] if d % 2 == 0 else [r if t > 0 else -r]
     candidates = _real_root_floors(g)
     return sorted(
         {k for c in candidates for k in (c, c + 1) if _eval_int(g, k) == 0}

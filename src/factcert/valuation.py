@@ -142,24 +142,16 @@ def factorial_sketch(n: int, q_limit: int | None = None) -> dict[int, int]:
     from . import arith
 
     hi = n if q_limit is None else min(n, q_limit)
-    if hi < 2:
-        return {}
-    return {
-        p: legendre_valuation(n, p)
-        for p in arith.cached_sieve(hi).primes
-        if legendre_valuation(n, p) > 0
-    }
+    return {p: legendre_valuation(n, p) for p in arith.primes_upto(hi)}
 
 
 def double_factorial_sketch(n: int) -> dict[int, int]:
     """Prime -> exponent map of n!! (exact: double factorials are pure products)."""
     from . import arith
 
-    if n < 2:
-        return {}
     return {
         p: v
-        for p in arith.cached_sieve(n).primes
+        for p in arith.primes_upto(n)
         if (v := double_factorial_valuation(n, p)) > 0
     }
 

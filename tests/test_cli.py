@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from factcert import cli
+from factcert import arith, cli
 from factcert.certify import Equation, Family
 from factcert.forms import BUNDLED_FORMS
 
@@ -112,6 +112,23 @@ def square_search(tmp_path_factory):
     out = tmp_path_factory.mktemp("square")
     code = cli.main(["search", "--poly", "x^2", "--nmax", "12", "--out", str(out)])
     return code, out
+
+
+def test_search_sieves_a_constant_number_of_tables(tmp_path, monkeypatch):
+    # window primes, factorial sketches and trial division share one table,
+    # so the sieve count does not grow with the number of cells or anchors
+    limits = []
+    sieve = arith.sieve
+
+    def counting_sieve(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(arith, "sieve", counting_sieve)
+    arith.cached_sieve.cache_clear()
+    argv = ["search", "--form", "x2+y2", "--nmax", "30", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OPEN  # 18 cells stay UNKNOWN
+    assert len(limits) <= 3, limits
 
 
 def test_search_square_snapshot(square_search):

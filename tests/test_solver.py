@@ -16,14 +16,22 @@ from hypothesis import strategies as st
 import factcert
 from factcert import solver
 from factcert.certify import Equation
-from factcert.forms import BUNDLED_POLYS, BinaryForm, UnivariatePoly
+from factcert.forms import (
+    BUNDLED_FORMS,
+    BUNDLED_POLYS,
+    BinaryForm,
+    UnivariatePoly,
+    _eval_int,
+)
 from factcert.solver import (
     CellStatus,
     SearchAborted,
     SearchTask,
+    _real_root_floors,
     classify_cell,
     integer_root,
     represent_definite_quadratic,
+    represent_general_form,
     run_search,
     solution_sup_bound,
 )
@@ -73,6 +81,81 @@ def test_integer_root_factorial_scale_targets():
     assert integer_root(cubic, big**3 - 1) == []
 
 
+def _isolation_roots(poly, target):
+    """The generic path: real root isolation, then an exact candidate test."""
+    g = poly.coeffs[:-1] + (poly.coeffs[-1] - target,)
+    return sorted(
+        {k for c in _real_root_floors(g) for k in (c, c + 1) if _eval_int(g, k) == 0}
+    )
+
+
+@given(
+    c=st.sampled_from((1, 2, 3, 5, -1, -2, -3, -5)),
+    d=st.integers(1, 5),
+    e=st.integers(-300, 300),
+    x0=st.integers(-12, 12),
+    shift=st.integers(-2, 2),
+)
+@settings(max_examples=400, deadline=None)
+def test_binomial_roots_match_scan_and_isolation(c, d, e, x0, shift):
+    poly = UnivariatePoly((c,) + (0,) * (d - 1) + (e,))
+    target = poly.evaluate(x0) + shift
+    # |x|^d <= |x0|^d + 2 for every root, so |x| <= |x0| + 2 <= 14
+    scan = [x for x in range(-20, 21) if poly.evaluate(x) == target]
+    assert integer_root(poly, target) == scan == _isolation_roots(poly, target)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_binomial_roots_factorial_scale(d):
+    r = math.factorial(60)
+    poly = UnivariatePoly((-3,) + (0,) * (d - 1) + (7,))
+    exact = [-r, r] if d % 2 == 0 else [r]
+    for k, roots in ((-1, []), (0, exact), (1, [])):
+        target = -3 * (r**d + k) + 7
+        assert integer_root(poly, target) == roots == _isolation_roots(poly, target)
+    # -3 does not divide the gap, and x^d = -r^d has a root only for odd d
+    assert integer_root(poly, -3 * r**d + 8) == []
+    negative = [] if d % 2 == 0 else [-r]
+    assert integer_root(poly, 3 * r**d + 7) == negative
+
+
+# Witnesses at the commit before integer_root solved binomials in closed form;
+# every target in GENERAL_GRID_TARGETS not listed here has no solution with
+# |x| <= 300.
+GENERAL_GRID_TARGETS = list(range(-30, 31)) + [8, 28, 122, 168, 732, 6480]
+GENERAL_GRID_WITNESSES = {
+    (1, 0, 0, 2): {
+        -29: (-3, -1), -27: (3, -3), -25: (-3, 1), -24: (-2, -2), -17: (-1, -2),
+        -16: (0, -2), -15: (1, -2), -11: (-3, 2), -10: (-2, -1), -8: (2, -2),
+        -6: (-2, 1), -3: (-1, -1), -2: (0, -1), -1: (1, -1), 0: (0, 0),
+        1: (1, 0), 2: (0, 1), 3: (1, 1), 6: (2, -1), 8: (2, 0), 10: (2, 1),
+        11: (3, -2), 15: (-1, 2), 16: (0, 2), 17: (1, 2), 24: (2, 2),
+        25: (3, -1), 27: (3, 0), 29: (3, 1),
+        6301: (101, -80), 100216: (250, -198), -106793: (-55, 31), -32937: None,
+    },
+    (1, 0, 0, 0, 1): {
+        0: (0, 0), 1: (0, 1), 2: (1, 1), 16: (0, 2), 17: (1, 2),
+        7992541202: (7, 299), 3154655521: (120, 233), 8208541217: (2, 301),
+    },
+    (2, 0, 0, 4): {
+        -30: (1, -2), -22: (-3, 2), -20: (-2, -1), -16: (2, -2), -12: (-2, 1),
+        -6: (-1, -1), -4: (0, -1), -2: (1, -1), 0: (0, 0), 2: (1, 0),
+        4: (0, 1), 6: (1, 1), 12: (2, -1), 16: (2, 0), 20: (2, 1),
+        22: (3, -2), 30: (-1, 2), 6480: (-6, 12), 9364: (150, -119),
+        65874: None,
+    },
+}
+
+
+@pytest.mark.parametrize("coeffs", sorted(GENERAL_GRID_WITNESSES))
+def test_represent_general_form_witnesses_unchanged(coeffs):
+    form = BinaryForm(coeffs)
+    expected = GENERAL_GRID_WITNESSES[coeffs]
+    for target in sorted(set(GENERAL_GRID_TARGETS) | set(expected)):
+        got = represent_general_form(form, target, 300)
+        assert got == expected.get(target), (coeffs, target)
+
+
 def test_represent_definite_quadratic_vs_naive():
     targets = (BinaryForm((1, 0, 1)), BinaryForm((1, 1, 1)), BinaryForm((2, 0, 3)))
     for form in targets:
@@ -93,14 +176,17 @@ def test_represent_definite_quadratic_vs_naive():
 
 
 def test_solution_sup_bound_contains_solutions():
-    form = BinaryForm((1, 0, -2))  # indefinite, factorizes over Z[sqrt 2]? no: bound path
-    target = 7 * 4
-    sup = solution_sup_bound(form, target)
-    if sup is not None:
-        for x in range(-sup, sup + 1):
-            for y in range(-sup, sup + 1):
-                if form.evaluate(x, y) == target:
-                    assert max(abs(x), abs(y)) <= sup
+    for form, target in (
+        (BinaryForm((1, 0, 1)), 25),
+        (BUNDLED_FORMS["x4+2x2y2+y4"], 625),
+    ):
+        sup = solution_sup_bound(form, target)
+        assert sup is not None
+        # scan a box twice the bound, so a solution outside it would show
+        span = range(-2 * sup, 2 * sup + 1)
+        found = [(x, y) for x in span for y in span if form.evaluate(x, y) == target]
+        assert found
+        assert all(max(abs(x), abs(y)) <= sup for x, y in found), form
 
 
 @pytest.mark.parametrize(
