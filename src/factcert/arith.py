@@ -18,6 +18,9 @@ _SMALL_TRIAL_BOUND = 100_000
 # Pollard rho squarings a budgeted factorization spends before giving up.
 DEFAULT_RHO_STEPS = 200_000
 
+# Primes the certifier's ascending scan tries by default.
+DEFAULT_PRIME_BUDGET = 10_000
+
 _LOG_PRECISION_BITS = 96  # primorial/radical sums need better than double
 
 
@@ -74,12 +77,12 @@ def cached_sieve(limit: int) -> PrimeTable:
 def primes_upto(limit: int) -> tuple[int, ...]:
     """Primes p <= limit, ascending, sliced from one shared table.
 
-    The table reaches at least _SMALL_TRIAL_BOUND, which trial division needs
-    anyway, so callers asking for many small limits (one window per anchor,
-    one factorial sketch per cell) neither sieve per limit nor evict the
-    trial-division table from cached_sieve's LRU.
+    The table reaches at least _SHARED_TABLE_FLOOR, so trial division, the
+    default prime budget and callers asking for many small limits (one
+    window per anchor, one factorial sketch per cell) all share it: nothing
+    sieves per limit or evicts another table from cached_sieve's LRU.
     """
-    primes = cached_sieve(max(limit, _SMALL_TRIAL_BOUND)).primes
+    primes = cached_sieve(max(limit, _SHARED_TABLE_FLOOR)).primes
     return primes[: bisect.bisect_right(primes, limit)]
 
 
@@ -91,12 +94,19 @@ def nth_prime_upper_bound(n: int) -> int:
     return int(x * (math.log(x) + math.log(math.log(x)))) + 10
 
 
+# Floor of the one shared prime table: it holds both the trial-division primes
+# (up to _SMALL_TRIAL_BOUND) and the certifier's default prime budget.
+_SHARED_TABLE_FLOOR = max(
+    _SMALL_TRIAL_BOUND, nth_prime_upper_bound(DEFAULT_PRIME_BUDGET)
+)
+
+
 def first_primes(n: int) -> list[int]:
-    """The first n primes, ascending."""
-    table = cached_sieve(nth_prime_upper_bound(n))
-    if len(table.primes) < n:  # bound above is proven; guard anyway
-        table = sieve(2 * table.limit)
-    return list(table.primes[:n])
+    """The first n primes, ascending, from the shared table when it has them."""
+    primes = primes_upto(nth_prime_upper_bound(n))
+    if len(primes) < n:  # bound above is proven; guard anyway
+        primes = sieve(2 * nth_prime_upper_bound(n)).primes
+    return list(primes[:n])
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ CHECKER_VERSION = "1.0"
 RULE_BELOW_EXPONENT = "V_LESS_THAN_E"
 RULE_NOT_MULTIPLE = "V_NOT_MULTIPLE"
 
-DEFAULT_PRIME_BUDGET = 10_000
+DEFAULT_PRIME_BUDGET = arith.DEFAULT_PRIME_BUDGET
 # Beyond this gap the cofactor A*(m+1)...(n) + B is too large for the budgeted
 # factorization fallback to pay for itself.
 RHO_COFACTOR_GAP_LIMIT = 6_000
@@ -370,6 +370,23 @@ def _sum_cofactor(eq: Equation, n: int, m: int) -> int:
     return eq.a * math.prod(range(m + 1, n + 1)) + eq.b
 
 
+@functools.lru_cache(maxsize=2)
+def cofactor_factorization(
+    eq: Equation, n: int, m: int, rho_steps: int
+) -> tuple[dict[int, int], list[int]]:
+    """Budgeted factorization of |C| (see _sum_cofactor): (primes, unfactored).
+
+    As arith.partial_factor, except that past RHO_COFACTOR_GAP_LIMIT nothing
+    is tried and |C| comes back whole as unfactored.  The certifier's rho
+    route and the solver's exact solve of the same cell both ask for it, so
+    the small cache runs rho once per cell.
+    """
+    cofactor = abs(_sum_cofactor(eq, n, m))
+    if n - m > RHO_COFACTOR_GAP_LIMIT:
+        return {}, [cofactor]
+    return arith.partial_factor(cofactor, rho_steps=rho_steps)
+
+
 def certify_cell(
     eq: Equation,
     cell: Sequence[int],
@@ -417,7 +434,6 @@ def certify_cell(
         if cert is not None:
             return cert
 
-    cofactor = None
     unvisited = None  # product of the budgeted primes > m dividing C, not yet tried
     ascending = arith.first_primes(prime_budget)
     for q in ascending:
@@ -425,8 +441,7 @@ def certify_cell(
             continue
         if eq.is_sum and q > anchor:
             if unvisited is None:
-                cofactor = _sum_cofactor(eq, *cell)
-                g = math.gcd(_budget_primorial(prime_budget), cofactor)
+                g = math.gcd(_budget_primorial(prime_budget), _sum_cofactor(eq, *cell))
                 # g is squarefree; dividing out gcd(g, m!) drops its primes <= m.
                 unvisited = g // math.gcd(g, math.factorial(anchor))
             if unvisited == 1:
@@ -440,12 +455,9 @@ def certify_cell(
     max_scanned = ascending[-1]
 
     if eq.is_sum:
-        n, m = cell
-        if rho_steps <= 0 or n - m > RHO_COFACTOR_GAP_LIMIT:
+        if rho_steps <= 0:
             return None
-        if cofactor is None:
-            cofactor = _sum_cofactor(eq, n, m)
-        extra, _leftover = arith.partial_factor(abs(cofactor), rho_steps=rho_steps)
+        extra, _leftover = cofactor_factorization(eq, *cell, rho_steps)
         note = "cofactor_factor"
     else:
         # Every prime in the left side divides some n_i!! or b; the scan above

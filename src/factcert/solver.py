@@ -16,16 +16,19 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import arith, valuation
 from .arith import DEFAULT_RHO_STEPS
 from .certify import (
     DEFAULT_PRIME_BUDGET,
     Certificate,
     Equation,
     certify_cell,
+    cofactor_factorization,
     in_hypothesis_region,
     left_is_zero,
     left_value,
@@ -206,14 +209,186 @@ def integer_root(f: UnivariatePoly, target: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def represent_definite_quadratic(
-    form: BinaryForm, target: int
-) -> tuple[int, int] | None:
-    """A representation f(x,y) = target, or None with exhaustive certainty.
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of a modulo an odd prime p not dividing a (Tonelli-Shanks)."""
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
-    Writing 4c*f = (bx+2cy)^2 + |disc| x^2 bounds |x| by sqrt(4c*target /
-    |disc|); x runs down from the bound (WLOG x >= 0 since (-x,-y) represents
-    the same value) and y is solved exactly from the quadratic formula.
+
+def _sqrt_mod_prime_power(d: int, p: int, k: int) -> list[int]:
+    """Every r in [0, p^k) with r^2 = d (mod p^k)."""
+    if k == 0:
+        return [0]
+    pk = p**k
+    if p % 2 and d % p:
+        # a root mod p lifts uniquely (Hensel), doubling the precision per step
+        r = _sqrt_mod_prime(d % p, p)
+        if r is None:
+            return []
+        mod = p
+        while mod < pk:
+            mod = min(mod * mod, pk)
+            r = (r - (r * r - d) * pow(2 * r, -1, mod)) % mod
+        return sorted({r, pk - r})
+    # p divides 2d, so p is small: lift one digit at a time
+    roots, mod = [0], 1
+    for _ in range(k):
+        step = mod * p
+        roots = [
+            s for r in roots for s in range(r, step, mod) if (s * s - d) % step == 0
+        ]
+        mod = step
+    return roots
+
+
+def _reduce_definite(
+    form: tuple[int, int, int]
+) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
+    """The reduced form properly equivalent to a positive definite (a, b, c).
+
+    Also returns M = (m11, m12, m21, m22) in SL2(Z) with f(m11*x + m12*y,
+    m21*x + m22*y) equal to the reduced form: |b| <= a <= c, and b >= 0 when
+    |b| == a or a == c.  The reduced form is unique in its proper class.
+    """
+    a, b, c = form
+    m11, m12, m21, m22 = 1, 0, 0, 1
+    while True:
+        t = (a - b) // (2 * a)  # x -> x + t*y brings b into (-a, a]
+        if t:
+            c += (a * t + b) * t
+            b += 2 * a * t
+            m12 += m11 * t
+            m22 += m21 * t
+        if a < c or (a == c and b >= 0):
+            return (a, b, c), (m11, m12, m21, m22)
+        a, b, c = c, -b, a  # (x, y) -> (-y, x)
+        m11, m12, m21, m22 = m12, -m11, m22, -m21
+
+
+def _automorphs(a: int, b: int, c: int) -> list[tuple[int, int, int, int]]:
+    """Proper automorphs of a positive definite form: 2, or 4 (D = -4), or 6 (D = -3).
+
+    They are ((t - bu)/2, -cu; au, (t + bu)/2) over t^2 - D*u^2 = 4, which
+    forces |u| <= 1 since D <= -3.
+    """
+    d = b * b - 4 * a * c
+    out = []
+    for u in (-1, 0, 1):
+        t2 = 4 + d * u * u
+        if t2 < 0 or math.isqrt(t2) ** 2 != t2:
+            continue
+        for t in {math.isqrt(t2), -math.isqrt(t2)}:
+            out.append(((t - b * u) // 2, -c * u, a * u, (t + b * u) // 2))
+    return out
+
+
+def _split_ideal_count(form: BinaryForm, exponents: dict[int, int]) -> int:
+    """Ideals of norm N of the form's order: prod of (e+1) over p with (D/p) = 1.
+
+    D is the discriminant of the primitive part and N = prod p^e.  The count
+    bounds the square roots of D that definite_representations tries.
+    """
+    k = form.content()
+    d = quadratic_discriminant(form) // (k * k)
+    count = 1
+    for p, e in exponents.items():
+        split = d % 8 == 1 if p == 2 else d % p and pow(d, (p - 1) // 2, p) == 1
+        if split:
+            count *= e + 1
+    return count
+
+
+def definite_representations(
+    form: BinaryForm, target: int, exponents: dict[int, int]
+) -> list[tuple[int, int]]:
+    """Every (x, y) with f(x, y) = target > 0, sorted; exponents factor target.
+
+    A solution with gcd(x, y) = g is g times a primitive representation of
+    N = target/g^2 (content divided out).  Those come from the roots B mod 2N
+    of B^2 = D (mod 4N): when (N, B, (B^2-D)/4N) reduces to the same form as
+    f, both reduction matrices give one representation, and f's automorphs
+    give the rest (Cohen, A Course in Computational Algebraic Number Theory,
+    5.2; Buell, Binary Quadratic Forms).  Roots are built prime by prime and
+    joined by CRT; a prime with no root at some exponent of N/g^2 prunes every
+    g with that exponent, which is how inert primes of odd exponent end the
+    search at once.  Works for any class number.
+    """
+    if not is_positive_definite(form):
+        raise ValueError("needs a positive definite quadratic form")
+    if target < 1:
+        raise ValueError("need a positive target")
+    k = form.content()
+    if target % k:
+        return []
+    n = target // k
+    a, b, c = (co // k for co in form.coeffs)
+    exps = dict(exponents)
+    for p, e in arith.factor(k).exponents.items():
+        exps[p] -= e
+    d = b * b - 4 * a * c
+    reduced, (t11, t12, t21, t22) = _reduce_definite((a, b, c))
+    choices = []  # per prime: (p^j, modulus, roots of B) for each j with a root
+    for p in sorted(set(exps) | {2}):
+        e = exps.get(p, 0)
+        opts = []
+        for j in range(e // 2 + 1):
+            # B^2 = D (mod 4N) depends only on B mod 2N
+            k2 = e - 2 * j + (2 if p == 2 else 0)
+            mod = p**k2 // (2 if p == 2 else 1)
+            roots = sorted({r % mod for r in _sqrt_mod_prime_power(d, p, k2)})
+            if roots:
+                opts.append((p**j, mod, roots))
+        if not opts:
+            return []
+        choices.append(opts)
+    autos = _automorphs(a, b, c)
+    out = set()
+    for pick in itertools.product(*choices):
+        g = math.prod(gp for gp, _, _ in pick)
+        n1 = n // (g * g)
+        residues, mod = [0], 1
+        for _, mp, roots in pick:
+            inv = pow(mod, -1, mp)
+            residues = [
+                r + mod * ((s - r) * inv % mp) for r in residues for s in roots
+            ]
+            mod *= mp
+        for root in residues:
+            red, (_, _, s21, s22) = _reduce_definite(
+                (n1, root, (root * root - d) // (4 * n1))
+            )
+            if red != reduced:
+                continue
+            # f composed with T * S^-1 is (n1, root, .), so the first column
+            # of T * S^-1, T * (s22, -s21), represents n1
+            x, y = t11 * s22 - t12 * s21, t21 * s22 - t22 * s21
+            for u11, u12, u21, u22 in autos:
+                out.add((g * (u11 * x + u12 * y), g * (u21 * x + u22 * y)))
+    return sorted(out)
+
+
+def represent_definite_quadratic(
+    form: BinaryForm, target: int, exponents: dict[int, int] | None = None
+) -> tuple[int, int] | None:
+    """The largest (x, y) with x >= 0 and f(x, y) = target, or None if none exists.
+
+    "Largest" is lexicographic: the largest x, then the larger y.  Answers
+    come from definite_representations, so exponents must be the prime
+    factorization of target; without it, target is factored with arith.factor.
     """
     if not is_positive_definite(form):
         raise ValueError("needs a positive definite quadratic form")
@@ -221,20 +396,10 @@ def represent_definite_quadratic(
         raise ValueError("a positive definite form cannot represent a negative")
     if target == 0:
         return (0, 0)
-    a, b, c = form.coeffs
-    neg_disc = 4 * a * c - b * b
-    for x in range(math.isqrt(4 * c * target // neg_disc) + 1, -1, -1):
-        dd = 4 * c * target - neg_disc * x * x
-        if dd < 0:
-            continue
-        s = math.isqrt(dd)
-        if s * s != dd:
-            continue
-        for root in (s, -s):
-            num = -b * x + root
-            if num % (2 * c) == 0:
-                return (x, num // (2 * c))
-    return None
+    if exponents is None:
+        exponents = arith.factor(target).exponents
+    sols = definite_representations(form, target, exponents)
+    return max((s for s in sols if s[0] >= 0), default=None)
 
 
 def _definite_quadratic_floor(g: BinaryForm) -> Fraction:
@@ -367,8 +532,9 @@ class SearchTask:
     diagonal when include_diagonal is set, where the equation reduces to the
     (a+b)*n! family).  single_factorial walks (n,) cells solving n! =
     poly(x) exactly.  Product families walk multisets bounded by
-    prod_bounds.  Budgets: prime_budget and rho_steps feed the certifier,
-    ball_cap limits enumeration radii.
+    prod_bounds.  Budgets: prime_budget and rho_steps feed the certifier
+    (rho_steps also bounds the factoring a definite quadratic solve uses),
+    ball_cap limits enumeration radii and the ideals a definite solve tries.
     """
 
     equation: Equation
@@ -491,9 +657,16 @@ class SearchReport:
 
 
 def _solve_exact(
-    eq: Equation, target_value: int, ball_cap: int
+    eq: Equation,
+    target_value: int,
+    ball_cap: int,
+    factorization: tuple[dict[int, int], list[int]] | None = None,
 ) -> tuple[CellStatus, tuple[int, ...] | None, str]:
-    """(status, witness, note) for one left-side value, certificates aside."""
+    """(status, witness, note) for one left-side value, certificates aside.
+
+    factorization is (prime exponents, unfactored pieces) of |target_value|,
+    used for positive definite quadratics; without it arith.factor runs.
+    """
     target = eq.target
     if isinstance(target, UnivariatePoly):
         roots = integer_root(target, target_value)
@@ -504,14 +677,17 @@ def _solve_exact(
     if is_positive_definite(target):
         if target_value < 0:
             return CellStatus.NONE_EXHAUSTIVE, None, "sign_mismatch"
-        a, b, c = target.coeffs
-        bound = math.isqrt(4 * c * target_value // (4 * a * c - b * b)) + 1
-        if bound > ball_cap:
+        if factorization is None:
+            factorization = (arith.factor(target_value).exponents, [])
+        exponents, leftovers = factorization
+        if leftovers:
+            return CellStatus.UNKNOWN, None, "unfactored"
+        if _split_ideal_count(target, exponents) > ball_cap:
             return CellStatus.UNKNOWN, None, "enumeration_bound_exceeds_cap"
-        pair = represent_definite_quadratic(target, target_value)
+        pair = represent_definite_quadratic(target, target_value, exponents)
         if pair is not None:
             return CellStatus.SOLUTION, pair, ""
-        return CellStatus.NONE_EXHAUSTIVE, None, "exhaustive_definite"
+        return CellStatus.NONE_EXHAUSTIVE, None, "exhaustive_by_factorization"
     if target_value % target.content():
         # content divides every represented value
         return CellStatus.NONE_EXHAUSTIVE, None, "exhaustive_in_bound"
@@ -526,11 +702,43 @@ def _solve_exact(
     return CellStatus.UNKNOWN, None, "ball_exhausted"
 
 
+def _left_factorization(task: SearchTask, cell) -> tuple[dict[int, int], list[int]]:
+    """(prime exponents, unfactored pieces) of |left side| at a binary-form cell.
+
+    Factorials and double factorials factor by Legendre.  An off-diagonal sum
+    cell's left side is m! * C, and C's budgeted factorization comes from the
+    certifier's cache, so rho runs once per cell, under the same rho_steps
+    and RHO_COFACTOR_GAP_LIMIT.
+    """
+    eq = task.equation
+    exps: Counter = Counter()
+    leftovers: list[int] = []
+    if not eq.is_sum:
+        exps.update(arith.factor(eq.b).exponents)
+        for c in cell:
+            exps.update(valuation.double_factorial_sketch(c))
+    elif cell[0] == cell[1]:
+        exps.update(arith.factor(eq.a + eq.b).exponents)
+        exps.update(valuation.factorial_sketch(cell[0]))
+    else:
+        n, m = cell
+        cofactor_exps, leftovers = cofactor_factorization(eq, n, m, task.rho_steps)
+        exps.update(cofactor_exps)
+        exps.update(valuation.factorial_sketch(m))
+    return dict(exps), leftovers
+
+
 def _solve_cell(
     task: SearchTask, cell, value: int, note: str, hypothesis: bool | None
 ) -> CellResult:
     """Exact solving of one left-side value; a witness is re-evaluated."""
-    status, witness, solve_note = _solve_exact(task.equation, value, task.ball_cap)
+    target = task.equation.target
+    factorization = None
+    if isinstance(target, BinaryForm) and is_positive_definite(target):
+        factorization = _left_factorization(task, cell)
+    status, witness, solve_note = _solve_exact(
+        task.equation, value, task.ball_cap, factorization
+    )
     if witness is not None and task.equation.target.evaluate(*witness) != value:
         raise AssertionError(
             f"witness {witness} fails direct evaluation at cell {cell}"
@@ -543,9 +751,13 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
     """Assign one status to one cell.  Statuses are mutually exclusive.
 
     Order: degenerate screens, then the certifier (a certificate is cheaper
-    than enumeration and proves more), then exact solving.  cross_check
-    re-solves certified cells where exact solving is affordable and insists
-    on no solution; a violation is a soundness bug, so it raises.
+    than a solve and proves more), then exact solving.  For a positive
+    definite quadratic target the solve lists every representation from the
+    left side's factorization: a witness gives SOLUTION, none gives
+    NONE_EXHAUSTIVE (exhaustive_by_factorization), and a factorization the
+    rho budget left incomplete gives UNKNOWN (unfactored).  cross_check
+    re-solves certified cells where that is cheap and insists on no
+    solution; a violation is a soundness bug, so it raises.
     """
     eq = task.equation
 
@@ -589,13 +801,24 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
 def _cross_check_certificate(task: SearchTask, eq: Equation, cell) -> None:
     """Assert no solution exists where checking is cheap; soundness guard.
 
-    Forms other than positive definite quadratics are skipped: without a
-    small enumeration bound their exact solve is far costlier than the
-    certificate it checks.
+    The check is end to end: it factors the left side N afresh (arith.factor)
+    and solves exactly, using none of the certifier's obstruction or
+    valuation code.  A positive definite quadratic is checked only while
+    sqrt(4cN/|D|) stays within ball_cap, so N stays small enough to factor
+    quickly; a large certified cofactor was never factored, and factoring it
+    just for the check would cost far more than the certificate did.  Other
+    binary forms are skipped: they have no such solve.
     """
-    if isinstance(eq.target, BinaryForm) and not is_positive_definite(eq.target):
+    target = eq.target
+    if isinstance(target, BinaryForm) and not is_positive_definite(target):
         return
-    status, _, _ = _solve_exact(eq, left_value(eq, cell), task.ball_cap)
+    value = left_value(eq, cell)
+    if isinstance(target, BinaryForm):
+        a, b, c = target.coeffs
+        x_bound = math.isqrt(4 * c * max(value, 0) // (4 * a * c - b * b)) + 1
+        if x_bound > task.ball_cap:
+            return
+    status, _, _ = _solve_exact(eq, value, task.ball_cap)
     if status is CellStatus.SOLUTION:
         raise AssertionError(
             f"certified cell {cell} has a solution: certificate unsound"

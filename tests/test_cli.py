@@ -3,6 +3,7 @@ codes."""
 
 import csv
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -127,8 +128,11 @@ def test_search_sieves_a_constant_number_of_tables(tmp_path, monkeypatch):
     monkeypatch.setattr(arith, "sieve", counting_sieve)
     arith.cached_sieve.cache_clear()
     argv = ["search", "--form", "x2+y2", "--nmax", "30", "--out", str(tmp_path)]
-    assert cli.main(argv) == cli.EXIT_OPEN  # 18 cells stay UNKNOWN
-    assert len(limits) <= 3, limits
+    # every cell resolves: the definite solver factors the 18 cells that
+    # neither a certificate nor the old x-bound loop could settle
+    assert cli.main(argv) == cli.EXIT_OK
+    # the default prime budget, trial division and the windows share one table
+    assert len(limits) == 1, limits
 
 
 def test_search_square_snapshot(square_search):
@@ -181,20 +185,26 @@ def test_search_rerun_is_deterministic_modulo_timestamp(square_search, tmp_path)
     ).read_bytes()
 
 
-def test_search_starved_budget_reports_unknowns(tmp_path, capsys):
-    # cells (n, 1) and (n, 2) eventually need factoring n!+1 and n!+2; the
-    # cofactor gap rule gives up there, so honest UNKNOWNs and exit 2
+def test_search_small_m_strip_resolved_by_factoring(tmp_path, capsys):
+    # cells (n, 1) and (n, 2) need n!+1 and n!+2 factored; the certifier's
+    # budgeted factorization settles all of them, (16,2), (17,1) and (17,2)
+    # with witnesses far beyond the old x-bound loop's ball_cap
     code, _, _ = run_cli(
         ["search", "--form", "x2+y2", "--nmax", "20", "--mmin", "1",
          "--mmax", "2", "--out", str(tmp_path)],
         capsys,
     )
-    assert code == cli.EXIT_OPEN
+    assert code == cli.EXIT_OK
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["cells"] == 37
-    assert summary["totals"]["UNKNOWN"] == 3
-    assert summary["totals"]["SOLUTION"] == 16
+    assert summary["totals"]["UNKNOWN"] == 0
+    assert summary["totals"]["SOLUTION"] == 19
     assert summary["totals"]["CERTIFIED"] == 18
+    solved = {tuple(s["cell"]): s["witness"] for s in summary["solutions"]}
+    assert len(solved) == 19
+    assert {(16, 2), (17, 1), (17, 2)} <= set(solved)
+    for (n, m), (x, y) in solved.items():
+        assert x * x + y * y == math.factorial(n) + math.factorial(m), (n, m)
 
 
 def test_search_input_errors_exit_one(tmp_path, capsys):

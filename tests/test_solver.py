@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import factcert
-from factcert import solver
+from factcert import arith, certify, solver
 from factcert.certify import Equation
 from factcert.forms import (
     BUNDLED_FORMS,
@@ -173,6 +173,175 @@ def test_represent_definite_quadratic_vs_naive():
                 assert form.evaluate(*pair) == n
             else:
                 assert pair is None, (form.coeffs, n)
+
+
+def _loop_representation(form, target):
+    """The O(sqrt N) reference: largest x >= 0 first, then the larger y."""
+    a, b, c = form.coeffs
+    neg_disc = 4 * a * c - b * b
+    for x in range(math.isqrt(4 * c * target // neg_disc) + 1, -1, -1):
+        dd = 4 * c * target - neg_disc * x * x
+        if dd < 0:
+            continue
+        s = math.isqrt(dd)
+        if s * s != dd:
+            continue
+        for root in (s, -s):
+            num = -b * x + root
+            if num % (2 * c) == 0:
+                return (x, num // (2 * c))
+    return None
+
+
+def _trial_exponents(n):
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+DEFINITE_ORACLE_LIMIT = 2 * 10**4
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, 0, 1), (1, 1, 1), (1, 0, 2), (1, 0, 3), (2, 0, 2), (1, 0, 5), (2, 1, 3)],
+    ids=["x2+y2", "x2+xy+y2", "x2+2y2", "x2+3y2", "2x2+2y2", "x2+5y2", "2x2+xy+3y2"],
+)
+def test_definite_representations_match_box_scan(coeffs):
+    # 2x2+2y2 has content 2; x2+5y2 has class number 2, 2x2+xy+3y2 class number 3
+    form = BinaryForm(coeffs)
+    a, b, c = coeffs
+    neg_disc = 4 * a * c - b * b
+    # 4a*f = (2ax + by)^2 + |D| y^2 and 4c*f = (bx + 2cy)^2 + |D| x^2 bound the box
+    bx = math.isqrt(4 * c * DEFINITE_ORACLE_LIMIT // neg_disc) + 1
+    by = math.isqrt(4 * a * DEFINITE_ORACLE_LIMIT // neg_disc) + 1
+    box = {}
+    for x in range(-bx, bx + 1):
+        for y in range(-by, by + 1):
+            box.setdefault(form.evaluate(x, y), []).append((x, y))
+    for n in range(1, DEFINITE_ORACLE_LIMIT + 1):
+        exponents = _trial_exponents(n)
+        assert solver.definite_representations(form, n, exponents) == sorted(
+            box.get(n, [])
+        ), (coeffs, n)
+        assert represent_definite_quadratic(
+            form, n, exponents
+        ) == _loop_representation(form, n), (coeffs, n)
+
+
+# Witnesses of n! + m! = x^2 + y^2 for n <= 60 at the commit before the
+# definite solver worked from factorizations (its O(sqrt N) loop found them).
+SQUARE_SUM_SEED_WITNESSES = {
+    (3, 2): (2, 2), (4, 1): (5, 0), (4, 2): (5, 1), (5, 1): (11, 0),
+    (5, 2): (11, 1), (6, 2): (19, 19), (7, 1): (71, 0), (5, 4): (12, 0),
+    (7, 2): (71, 1), (8, 1): (180, 89), (8, 2): (179, 91), (9, 2): (601, 41),
+    (11, 1): (5985, 2024), (7, 6): (72, 24), (11, 2): (6271, 769),
+    (12, 1): (21876, 665), (12, 2): (18571, 11581), (9, 6): (600, 60),
+    (13, 2): (78191, 10639), (10, 6): (1704, 852), (11, 6): (6312, 276),
+    (10, 8): (1848, 504), (12, 6): (21516, 4008), (13, 6): (78132, 11064),
+    (14, 6): (294648, 18996),
+}
+
+
+def test_square_sum_seed_witnesses_unchanged():
+    form = BUNDLED_FORMS["x2+y2"]
+    for (n, m), witness in SQUARE_SUM_SEED_WITNESSES.items():
+        value = math.factorial(n) + math.factorial(m)
+        assert represent_definite_quadratic(form, value) == witness, (n, m)
+        res = classify_cell(SearchTask(equation=SUM_SQUARES, n_max=14), (n, m))
+        assert res.status is CellStatus.SOLUTION and res.witness == witness
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 1), (1, 1, 1)], ids=["x2+y2", "x2+xy+y2"])
+def test_definite_solve_on_diagonal_and_product_cells(coeffs):
+    # these left sides are factored by Legendre counts, not by rho; a small
+    # prime budget leaves more cells to the solver
+    tasks = [
+        SearchTask(
+            equation=Equation.sum_binary(1, 1, coeffs),
+            n_max=11, m_min=10, include_diagonal=True, prime_budget=50,
+        ),
+        SearchTask(
+            equation=Equation.product_binary(3, coeffs),
+            prod_bounds=(12, 12), prime_budget=50,
+        ),
+    ]
+    form = BinaryForm(coeffs)
+    solved = 0
+    for task in tasks:
+        for res in run_search(task).results:
+            assert res.status is not CellStatus.UNKNOWN, res.cell
+            if res.status is CellStatus.CERTIFIED:
+                continue
+            if task.equation.is_sum:
+                value = sum(math.factorial(c) for c in res.cell)
+            else:
+                value = 3 * math.prod(
+                    math.prod(range(c, 0, -2)) for c in res.cell
+                )
+            assert res.witness == _loop_representation(form, value), res.cell
+            solved += res.witness is not None
+    assert solved >= 5
+
+
+@pytest.mark.parametrize(
+    "value, factorization, status, witness, note",
+    [
+        (-5, None, "NONE_EXHAUSTIVE", None, "sign_mismatch"),
+        (21, None, "NONE_EXHAUSTIVE", None, "exhaustive_by_factorization"),
+        (3**3 * 5, None, "NONE_EXHAUSTIVE", None, "exhaustive_by_factorization"),
+        (3**2 * 5, None, "SOLUTION", (6, 3), ""),
+        (2 * 5 * 13, ({2: 1, 5: 1, 13: 1}, []), "SOLUTION", (11, 3), ""),
+        (2 * 5 * 13, ({2: 1}, [65]), "UNKNOWN", None, "unfactored"),
+    ],
+)
+def test_solve_exact_definite_notes(value, factorization, status, witness, note):
+    cap = solver.DEFAULT_BALL_CAP
+    got = solver._solve_exact(SUM_SQUARES, value, cap, factorization)
+    assert got == (CellStatus(status), witness, note)
+
+
+def test_ideal_count_guard_reports_cap():
+    # 31! + 2! has 16 ideals of norm N in Z[i]; its witness needs 16 roots
+    cell = (31, 2)
+    value = math.factorial(31) + 2
+    for cap, status in ((10, CellStatus.UNKNOWN), (16, CellStatus.SOLUTION)):
+        task = SearchTask(equation=SUM_SQUARES, n_max=31, ball_cap=cap)
+        res = classify_cell(task, cell)
+        assert res.status is status, cap
+    assert res.witness[0] ** 2 + res.witness[1] ** 2 == value
+    low = classify_cell(SearchTask(equation=SUM_SQUARES, n_max=31, ball_cap=10), cell)
+    assert low.note == "enumeration_bound_exceeds_cap"
+
+
+def test_rho_runs_once_per_cell(monkeypatch):
+    # (45, 1): 45! + 1 keeps a composite piece that 200k rho steps cannot split
+    exhausted = []
+    brent = arith._pollard_brent
+
+    def counting_brent(n, max_steps):
+        d = brent(n, max_steps)
+        if d is None:
+            exhausted.append(n)
+        return d
+
+    monkeypatch.setattr(arith, "_pollard_brent", counting_brent)
+    cell = (45, 1)
+    certify.cofactor_factorization.cache_clear()
+    assert certify.certify_cell(SUM_SQUARES, cell) is None
+    alone = len(exhausted)
+    assert alone >= 1
+    exhausted.clear()
+    certify.cofactor_factorization.cache_clear()
+    res = classify_cell(SearchTask(equation=SUM_SQUARES, n_max=45), cell)
+    assert (res.status, res.note) == (CellStatus.UNKNOWN, "unfactored")
+    assert len(exhausted) == alone
 
 
 def test_solution_sup_bound_contains_solutions():
