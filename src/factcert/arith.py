@@ -6,6 +6,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import mpmath
 
@@ -193,36 +194,53 @@ def _pollard_brent(n: int, max_steps: float) -> int | None:
     return None
 
 
-def _factor(a: int, rho_steps: float) -> tuple[dict[int, int], list[int]]:
+def _factor(
+    a: int, rho_steps: float, stop: Callable[[int], bool] | None = None
+) -> tuple[dict[int, int], list[int]] | None:
     """Trial division up to _SMALL_TRIAL_BOUND, then rho on what remains.
 
     Returns (prime_exponents, unfactored_cofactors) of abs(a); a cofactor
-    is a composite piece that rho could not split within rho_steps.
+    is a composite piece that rho could not split within rho_steps.  stop,
+    if given, sees each prime as soon as it is proven (see partial_factor);
+    once it returns True factoring ends and the result is None.
     """
     if a == 0:
         raise ValueError("cannot factor 0")
     n = abs(a)
     exps: dict[int, int] = {}
     leftovers: list[int] = []
+
     if n > 1:
         for p in primes_upto(_SMALL_TRIAL_BOUND):
             if p * p > n:
                 break
-            while n % p == 0:
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                exps[p] = e
+                if stop is not None and stop(p):
+                    return None
+        pieces = [n] if n > 1 else []
+        stack: list[int] = []
+        while True:
+            primes = sorted(m for m in pieces if is_prime(m))
+            stack.extend(m for m in pieces if m not in primes)
+            for p in primes:
+                fresh = p not in exps
                 exps[p] = exps.get(p, 0) + 1
-                n //= p
-        stack = [n] if n > 1 else []
-        while stack:
-            m = stack.pop()  # odd and > 1: rho returns d with 1 < d < m
-            if is_prime(m):
-                exps[m] = exps.get(m, 0) + 1
-                continue
+                if fresh and stop is not None and stop(p):
+                    return None
+            if not stack:
+                break
+            m = stack.pop()  # odd composite: rho returns d with 1 < d < m
             d = _pollard_brent(m, rho_steps)
             if d is None:
                 leftovers.append(m)
-                continue
-            stack.append(d)
-            stack.append(m // d)
+                pieces = []
+            else:
+                pieces = [d, m // d]
     return dict(sorted(exps.items())), sorted(leftovers)
 
 
@@ -237,15 +255,24 @@ def factor(a: int) -> FactorizationSketch:
 
 
 def partial_factor(
-    a: int, rho_steps: int = DEFAULT_RHO_STEPS
-) -> tuple[dict[int, int], list[int]]:
+    a: int,
+    rho_steps: int = DEFAULT_RHO_STEPS,
+    stop: Callable[[int], bool] | None = None,
+) -> tuple[dict[int, int], list[int]] | None:
     """Best-effort factorization under a work budget.
 
     Returns (prime_exponents, unfactored_cofactors).  The cofactors are
     composite pieces the rho budget could not split; the product of all
     reported primes (with multiplicity) and cofactors equals abs(a).
+
+    stop, if given, is called once with each distinct prime as soon as it is
+    proven: the trial-division primes ascending as they are found, then
+    after each rho split its prime pieces ascending (the part left after
+    trial division counts as the first split).  When it returns True the
+    factorization ends there and partial_factor returns None, so a caller
+    looking for one useful prime skips the rho runs it no longer needs.
     """
-    return _factor(a, rho_steps)
+    return _factor(a, rho_steps, stop)
 
 
 def radical(a: int) -> int:

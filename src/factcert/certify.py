@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import arith, obstruction, valuation
 from .forms import BinaryForm, UnivariatePoly, clear_denominators
@@ -370,21 +370,41 @@ def _sum_cofactor(eq: Equation, n: int, m: int) -> int:
     return eq.a * math.prod(range(m + 1, n + 1)) + eq.b
 
 
-@functools.lru_cache(maxsize=2)
+# Complete cofactor factorizations of the last two cells, by (eq, n, m,
+# rho_steps); one that stop ended early is never stored.
+_COFACTOR_CACHE: dict[tuple, tuple[dict[int, int], list[int]]] = {}
+
+
 def cofactor_factorization(
-    eq: Equation, n: int, m: int, rho_steps: int
-) -> tuple[dict[int, int], list[int]]:
+    eq: Equation,
+    n: int,
+    m: int,
+    rho_steps: int,
+    stop: Callable[[int], bool] | None = None,
+) -> tuple[dict[int, int], list[int]] | None:
     """Budgeted factorization of |C| (see _sum_cofactor): (primes, unfactored).
 
-    As arith.partial_factor, except that past RHO_COFACTOR_GAP_LIMIT nothing
-    is tried and |C| comes back whole as unfactored.  The certifier's rho
-    route and the solver's exact solve of the same cell both ask for it, so
-    the small cache runs rho once per cell.
+    As arith.partial_factor, stop included, except that past
+    RHO_COFACTOR_GAP_LIMIT nothing is tried and |C| comes back whole as
+    unfactored.  Complete results are kept for the last two cells: the
+    certifier's rho route factors with a stop, and when no prime certified
+    the solver's exact solve of the same cell reuses its result, so rho runs
+    once per cell.  A call with stop always factors afresh, since the order
+    in which primes are proven decides which certificate is found.
     """
+    key = (eq, n, m, rho_steps)
+    if stop is None and key in _COFACTOR_CACHE:
+        return _COFACTOR_CACHE[key]
     cofactor = abs(_sum_cofactor(eq, n, m))
     if n - m > RHO_COFACTOR_GAP_LIMIT:
-        return {}, [cofactor]
-    return arith.partial_factor(cofactor, rho_steps=rho_steps)
+        result = {}, [cofactor]
+    else:
+        result = arith.partial_factor(cofactor, rho_steps=rho_steps, stop=stop)
+    if result is not None:
+        _COFACTOR_CACHE[key] = result
+        if len(_COFACTOR_CACHE) > 2:
+            del _COFACTOR_CACHE[next(iter(_COFACTOR_CACHE))]
+    return result
 
 
 def certify_cell(
@@ -398,13 +418,18 @@ def certify_cell(
 
     Candidate order: primes in (anchor/2, anchor] descending (anchor = m for
     sum cells, max argument for product cells), then the first prime_budget
-    primes ascending, then for sum cells the prime factors of the cofactor
-    C = a*(m+1)*...*n + b found by budgeted factorization.  For sum cells the
-    ascending scan skips every prime q > m that does not divide C: such q
-    divides neither m! nor C, and v_q(left) = v_q(m!) + v_q(C) = 0 admits no
-    rule.  The budgeted primes dividing C come from one gcd of C with their
-    product.  The order only affects which certificate is found first, never
-    its validity.
+    primes ascending, then the primes beyond the budget that can divide the
+    left side.  The ascending scan skips every prime q > anchor that does
+    not divide C, where C = a*(m+1)*...*n + b for sum cells and C = b for
+    product cells: the left side is anchor-smooth apart from C, so such q
+    has v_q(left) = 0, which admits no rule.  The budgeted primes dividing C
+    come from one gcd of C with their product.  For sum cells the last
+    stage is budgeted factorization of C, and each prime is tried as soon as
+    the factorization proves it (after trial division, then after each rho
+    split, ascending within each); the first certificate ends it, so rho
+    does no work past the prime that certifies.  For product cells it is the
+    prime factors of b, ascending.  The order only affects which certificate
+    is found first, never its validity.
     """
     cell = eq.normalize_cell(cell)
     if left_is_zero(eq, cell):
@@ -434,15 +459,17 @@ def certify_cell(
         if cert is not None:
             return cert
 
-    unvisited = None  # product of the budgeted primes > m dividing C, not yet tried
+    unvisited = None  # product of the untried budgeted primes > anchor dividing C
     ascending = arith.first_primes(prime_budget)
     for q in ascending:
         if q in tried:
             continue
-        if eq.is_sum and q > anchor:
+        if q > anchor:
             if unvisited is None:
-                g = math.gcd(_budget_primorial(prime_budget), _sum_cofactor(eq, *cell))
-                # g is squarefree; dividing out gcd(g, m!) drops its primes <= m.
+                rest = _sum_cofactor(eq, *cell) if eq.is_sum else eq.b
+                g = math.gcd(_budget_primorial(prime_budget), rest)
+                # g is squarefree; dividing out gcd(g, anchor!) drops its
+                # primes <= anchor.
                 unvisited = g // math.gcd(g, math.factorial(anchor))
             if unvisited == 1:
                 break
@@ -454,23 +481,26 @@ def certify_cell(
             return cert
     max_scanned = ascending[-1]
 
-    if eq.is_sum:
-        if rho_steps <= 0:
-            return None
-        extra, _leftover = cofactor_factorization(eq, *cell, rho_steps)
-        note = "cofactor_factor"
-    else:
+    note = ("cofactor_factor",) if eq.is_sum else ("multiplier_factor",)
+    cert = None
+
+    def _try_beyond_scan(q: int) -> bool:
+        nonlocal cert
+        if q > max_scanned and q not in tried:
+            cert = _attempt(q, note)
+        return cert is not None
+
+    if not eq.is_sum:
         # Every prime in the left side divides some n_i!! or b; the scan above
         # covered everything up to max(anchor, budget), so only large prime
         # factors of b remain.
-        extra = arith.factor(eq.b).exponents
-        note = "multiplier_factor"
-    for q in sorted(extra):
-        if q > max_scanned and q not in tried:
-            cert = _attempt(q, (note,))
-            if cert is not None:
-                return cert
-    return None
+        for q in sorted(arith.factor(eq.b).exponents):
+            if _try_beyond_scan(q):
+                break
+    elif rho_steps > 0:
+        # Each prime is tried as soon as it is proven; a certificate stops rho.
+        cofactor_factorization(eq, *cell, rho_steps, stop=_try_beyond_scan)
+    return cert
 
 
 def recheck(cert: Certificate, *, deep: bool = False) -> bool:

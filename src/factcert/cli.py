@@ -877,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--ball-cap", dest="ball_cap", type=int)
     ps.add_argument("--rho-steps", dest="rho_steps", type=int)
     ps.add_argument("--workers", type=int)
-    ps.add_argument("--checkpoint", help="checkpoint JSON path (resumable)")
+    ps.add_argument("--checkpoint", help="checkpoint file (JSON lines, resumable)")
     ps.add_argument("--checkpoint-interval", dest="checkpoint_interval", type=int)
     ps.add_argument("--out", help="output directory (default runs/<hash12>)")
     ps.set_defaults(func=cmd_search)

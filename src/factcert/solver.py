@@ -486,7 +486,7 @@ class CellStatus(enum.Enum):
 
 
 class SearchAborted(RuntimeError):
-    """Raised by the abort_after_cells test hook after a checkpoint write."""
+    """Raised by the abort_after_cells test hook at a chunk boundary."""
 
 
 @dataclass(frozen=True)
@@ -533,8 +533,12 @@ class SearchTask:
     (a+b)*n! family).  single_factorial walks (n,) cells solving n! =
     poly(x) exactly.  Product families walk multisets bounded by
     prod_bounds.  Budgets: prime_budget and rho_steps feed the certifier
-    (rho_steps also bounds the factoring a definite quadratic solve uses),
+    (rho_steps also bounds the factoring a definite quadratic solve uses;
+    the certifier stops factoring at the first prime that certifies),
     ball_cap limits enumeration radii and the ideals a definite solve tries.
+    checkpoint_path names a JSON-lines file that gets one line per cell,
+    appended every checkpoint_interval cells; rerunning the same task with
+    it resumes where the file ends (see run_search).
     """
 
     equation: Equation
@@ -825,29 +829,52 @@ def _cross_check_certificate(task: SearchTask, eq: Equation, cell) -> None:
         )
 
 
-def _write_checkpoint(path: str, task_hash: str, results: list[CellResult]) -> None:
-    payload = {
-        "task_hash": task_hash,
-        "frontier": len(results),
-        "results": [r.to_dict() for r in results],
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+# First line of a checkpoint; every further line is one CellResult.
+CHECKPOINT_FORMAT = "factcert-checkpoint-jsonl-1"
 
 
-def _load_checkpoint(path: str, task_hash: str) -> list[CellResult]:
+def _open_checkpoint(path: str, task_hash: str) -> list[CellResult]:
+    """Results already stored at path, creating it (header only) if missing.
+
+    A torn last line (no newline: the writer died mid-append) is dropped and
+    cut from the file, so the next append starts on a line boundary.
+    """
     if not os.path.exists(path):
+        header = {"format": CHECKPOINT_FORMAT, "task_hash": task_hash}
+        tmp = path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header) + "\n")
+        os.replace(tmp, path)
         return []
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("task_hash") != task_hash:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    complete = data.rfind(b"\n") + 1
+    lines = data[:complete].splitlines()
+    try:
+        header = json.loads(lines[0]) if lines else None
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(
-            "checkpoint belongs to a different task (hash mismatch); "
+            f"{path} is not a JSON-lines checkpoint (single-object checkpoints "
+            "of earlier versions are not read); delete it to start over"
+        )
+    if header.get("task_hash") != task_hash:
+        raise ValueError(
+            f"checkpoint {path} belongs to a different task (hash mismatch); "
             "delete it or point the task elsewhere"
         )
-    return [CellResult.from_dict(d) for d in payload["results"]]
+    results = [CellResult.from_dict(json.loads(line)) for line in lines[1:]]
+    if complete < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(complete)
+    return results
+
+
+def _append_checkpoint(path: str, results: list[CellResult]) -> None:
+    lines = "".join(json.dumps(r.to_dict()) + "\n" for r in results)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(lines)
 
 
 def run_search(task: SearchTask) -> SearchReport:
@@ -856,15 +883,16 @@ def run_search(task: SearchTask) -> SearchReport:
     Results are produced in ascending (sum, cell) order regardless of worker
     count.  workers > 1 runs cells in spawned processes, which re-import the
     caller's main module: a calling script needs a __main__ guard.  With a
-    checkpoint path, progress is flushed atomically every checkpoint_interval
-    cells and completed prefixes are never recomputed.
+    checkpoint path, each chunk of checkpoint_interval cells is appended to
+    a JSON-lines file once it is classified, and a rerun resumes after the
+    last complete line: completed prefixes are never recomputed.
     """
     t0 = time.perf_counter()
     task_hash = task.fingerprint()
     cells = task.cells()
     done: list[CellResult] = []
     if task.checkpoint_path:
-        done = _load_checkpoint(task.checkpoint_path, task_hash)
+        done = _open_checkpoint(task.checkpoint_path, task_hash)
         for have, want in zip(done, cells):
             if have.cell != want:
                 raise ValueError("checkpoint cell order does not match the task")
@@ -890,8 +918,6 @@ def run_search(task: SearchTask) -> SearchReport:
             if task.abort_after_cells is not None:
                 room = task.abort_after_cells - processed_new
                 if room <= 0:
-                    if task.checkpoint_path:
-                        _write_checkpoint(task.checkpoint_path, task_hash, done)
                     raise SearchAborted(
                         f"aborted after {processed_new} cells (test hook)"
                     )
@@ -913,7 +939,7 @@ def run_search(task: SearchTask) -> SearchReport:
             idx += chunk_len
             processed_new += chunk_len
             if task.checkpoint_path:
-                _write_checkpoint(task.checkpoint_path, task_hash, done)
+                _append_checkpoint(task.checkpoint_path, results)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -132,8 +132,9 @@ def test_diagonal_cell_rejected(cell):
 
 def _reference_certify(eq, cell, prime_budget, rho_steps=0):
     """The unfiltered scan: every window prime, then every budgeted prime,
-    then (rho_steps > 0) the prime factors of the cofactor, each valuation
-    found by dividing the left side itself."""
+    then the prime factors of b (product cells) or, with rho_steps > 0, of
+    the whole cofactor (sum cells), each cofactor valuation found by
+    dividing the left side itself."""
     tried = set()
 
     def attempt(q, notes):
@@ -153,7 +154,7 @@ def _reference_certify(eq, cell, prime_budget, rho_steps=0):
             return None
         return certify._certificate(eq, cell, profile, v, rule, notes)
 
-    for q in window_primes(cell[1]):
+    for q in window_primes(cell[1] if eq.is_sum else max(cell)):
         cert = attempt(q, ("window_prime",))
         if cert is not None:
             return cert
@@ -163,13 +164,17 @@ def _reference_certify(eq, cell, prime_budget, rho_steps=0):
             cert = attempt(q, ())
             if cert is not None:
                 return cert
-    if rho_steps <= 0:
+    if not eq.is_sum:
+        exponents, note = arith.factor(eq.b).exponents, ("multiplier_factor",)
+    elif rho_steps <= 0:
         return None
-    cofactor = left_value(eq, cell) // math.factorial(cell[1])
-    exponents, _ = arith.partial_factor(cofactor, rho_steps=rho_steps)
+    else:
+        cofactor = left_value(eq, cell) // math.factorial(cell[1])
+        exponents, _ = arith.partial_factor(cofactor, rho_steps=rho_steps)
+        note = ("cofactor_factor",)
     for q in sorted(exponents):
         if q > budget[-1] and q not in tried:
-            cert = attempt(q, ("cofactor_factor",))
+            cert = attempt(q, note)
             if cert is not None:
                 return cert
     return None
@@ -215,6 +220,65 @@ def test_rho_route_matches_reference(eq):
             assert (got and got.to_dict()) == (want and want.to_dict()), (n, m)
             routed += got is not None and got.notes == ("cofactor_factor",)
     assert routed >= 20
+
+
+# 107 and 1307 are eligible for all three targets below (3 mod 4, 2 mod 3,
+# 3 mod 8); 107 lies inside the budget of 200 primes, 1307 beyond it.
+@pytest.mark.parametrize("b", [1, -6, 107, 2 * 1307])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda b: Equation.product_binary(b, (1, 0, 1)),
+        lambda b: Equation.product_binary(b, (1, 1, 1)),
+        lambda b: Equation.product_univariate(b, (1, 0, -2)),
+    ],
+    ids=["x2+y2", "x2+xy+y2", "x^2-2"],
+)
+def test_product_filter_matches_reference_scan(make, b):
+    eq = make(b)
+    budget = 200
+    primes = set()
+    for n1 in range(13):
+        for n2 in range(n1 + 1):
+            got = certify_cell(eq, (n1, n2), prime_budget=budget)
+            want = _reference_certify(eq, (n1, n2), budget)
+            assert (got and got.to_dict()) == (want and want.to_dict()), (n1, n2)
+            primes.add(got and got.prime)
+    if b == 107:  # certified by a q > max(cell) that divides b
+        assert 107 in primes
+
+
+def _count_exhausted_rho(monkeypatch) -> list:
+    exhausted = []
+    brent = arith._pollard_brent
+
+    def counting_brent(n, max_steps):
+        d = brent(n, max_steps)
+        if d is None:
+            exhausted.append(n)
+        return d
+
+    monkeypatch.setattr(arith, "_pollard_brent", counting_brent)
+    return exhausted
+
+
+@pytest.mark.parametrize("cell, prime", [((50, 1), 74195127103), ((44, 1), 694763)])
+def test_rho_route_stops_at_certifying_prime(monkeypatch, cell, prime):
+    # Factoring the rest of these cofactors exhausts the rho budget once;
+    # the certifying prime is proven before that run, so it never starts.
+    exhausted = _count_exhausted_rho(monkeypatch)
+    cert = certify_cell(SUM_SQUARES, cell)
+    assert (cert.prime, cert.notes) == (prime, ("cofactor_factor",))
+    assert recheck(cert)
+    assert exhausted == []
+
+
+def test_rho_route_tries_split_pieces_ascending():
+    # One split of the cofactor of 20! + 1 proves 20639383 and 117876683047,
+    # both 3 mod 4 and both certifying: the smaller one is tried first.
+    cert = certify_cell(SUM_SQUARES, (20, 0), prime_budget=20)
+    assert (cert.prime, cert.notes) == (20639383, ("cofactor_factor",))
+    assert recheck(cert)
 
 
 def test_cofactor_filter_bounds_valuation_calls(monkeypatch):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -333,15 +334,27 @@ def test_rho_runs_once_per_cell(monkeypatch):
 
     monkeypatch.setattr(arith, "_pollard_brent", counting_brent)
     cell = (45, 1)
-    certify.cofactor_factorization.cache_clear()
+    certify._COFACTOR_CACHE.clear()
     assert certify.certify_cell(SUM_SQUARES, cell) is None
     alone = len(exhausted)
     assert alone >= 1
     exhausted.clear()
-    certify.cofactor_factorization.cache_clear()
+    certify._COFACTOR_CACHE.clear()
     res = classify_cell(SearchTask(equation=SUM_SQUARES, n_max=45), cell)
     assert (res.status, res.note) == (CellStatus.UNKNOWN, "unfactored")
     assert len(exhausted) == alone
+
+
+def test_stopped_factorization_never_reaches_solve_tail():
+    # (50, 1) certifies at a prime its factorization proves before the end,
+    # so the certifier's run stops early and must leave the cache as it was
+    cell = (50, 1)
+    task = SearchTask(equation=SUM_SQUARES, n_max=50)
+    certify._COFACTOR_CACHE.clear()
+    want = solver._left_factorization(task, cell)
+    certify._COFACTOR_CACHE.clear()
+    assert certify.certify_cell(SUM_SQUARES, cell).notes == ("cofactor_factor",)
+    assert solver._left_factorization(task, cell) == want
 
 
 def test_solution_sup_bound_contains_solutions():
@@ -517,6 +530,90 @@ def test_checkpoint_task_hash_guard(tmp_path):
     other = SearchTask(equation=SUM_X2, n_max=15, checkpoint_path=str(ck))
     with pytest.raises(ValueError):
         run_search(other)
+
+
+def test_checkpoint_is_header_then_one_line_per_cell(tmp_path):
+    ck = tmp_path / "ck.jsonl"
+    task = SearchTask(
+        equation=SUM_X2, n_max=12, checkpoint_path=str(ck), checkpoint_interval=7
+    )
+    report = run_search(task)
+    header, *lines = ck.read_text().splitlines()
+    assert json.loads(header) == {
+        "format": solver.CHECKPOINT_FORMAT, "task_hash": task.fingerprint()
+    }
+    assert lines == [json.dumps(r.to_dict()) for r in report.results]
+
+
+def test_checkpoint_torn_last_line_is_dropped(tmp_path):
+    ck = tmp_path / "ck.jsonl"
+    task = SearchTask(
+        equation=SUM_X2, n_max=16, checkpoint_path=str(ck),
+        checkpoint_interval=10, abort_after_cells=30,
+    )
+    with pytest.raises(SearchAborted):
+        run_search(task)
+    whole = ck.read_bytes()
+    last = whole.splitlines(keepends=True)[-1]
+    ck.write_bytes(whole + last[: len(last) // 2])  # killed mid-append
+    resumed = run_search(dataclasses.replace(task, abort_after_cells=None))
+    fresh = tmp_path / "fresh.jsonl"
+    plain = run_search(
+        dataclasses.replace(task, checkpoint_path=str(fresh), abort_after_cells=None)
+    )
+    assert ck.read_bytes() == fresh.read_bytes()
+    assert _report_blob(resumed) == _report_blob(plain)
+
+
+def test_checkpoint_resume_after_sigkill_mid_chunk(tmp_path):
+    ck = tmp_path / "ck.jsonl"
+    task = SearchTask(
+        equation=SUM_SQUARES, n_max=40, checkpoint_path=str(ck),
+        checkpoint_interval=20,
+    )
+    script = (
+        "import sys\n"
+        "from factcert.certify import Equation\n"
+        "from factcert.solver import SearchTask, run_search\n"
+        "eq = Equation.sum_binary(1, 1, (1, 0, 1))\n"
+        "run_search(SearchTask(equation=eq, n_max=40, checkpoint_path=sys.argv[1],"
+        " checkpoint_interval=20))\n"
+    )
+    src = str(Path(factcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-c", script, str(ck)], env=env)
+    try:
+        deadline = time.monotonic() + 120
+        # three chunks on disk: the worker is now inside the fourth
+        while not ck.exists() or ck.read_bytes().count(b"\n") < 1 + 3 * 20:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert ck.read_bytes().count(b"\n") < 1 + len(task.cells())
+    resumed = run_search(task)
+    fresh = tmp_path / "fresh.jsonl"
+    plain = run_search(dataclasses.replace(task, checkpoint_path=str(fresh)))
+    assert ck.read_bytes() == fresh.read_bytes()
+    assert _report_blob(resumed) == _report_blob(plain)
+
+
+def _written_bytes() -> int:
+    with open("/proc/self/io", encoding="ascii") as fh:
+        return next(int(ln.split(":")[1]) for ln in fh if ln.startswith("wchar:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+def test_checkpoint_writes_grow_linearly(tmp_path):
+    # Appending writes each result once; rewriting the file after every
+    # 200-cell chunk wrote about 3.9 MB here.
+    ck = tmp_path / "ck.jsonl"
+    before = _written_bytes()
+    run_search(SearchTask(equation=SUM_SQUARES, n_max=60, checkpoint_path=str(ck)))
+    written = _written_bytes() - before
+    assert written < 700_000
+    assert written < 1.05 * ck.stat().st_size
 
 
 def test_workers_do_not_change_results():
