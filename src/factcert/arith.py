@@ -209,7 +209,6 @@ def _factor(
     n = abs(a)
     exps: dict[int, int] = {}
     leftovers: list[int] = []
-
     if n > 1:
         for p in primes_upto(_SMALL_TRIAL_BOUND):
             if p * p > n:

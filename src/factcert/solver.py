@@ -864,7 +864,15 @@ def _open_checkpoint(path: str, task_hash: str) -> list[CellResult]:
             f"checkpoint {path} belongs to a different task (hash mismatch); "
             "delete it or point the task elsewhere"
         )
-    results = [CellResult.from_dict(json.loads(line)) for line in lines[1:]]
+    results = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            results.append(CellResult.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"{path} line {number} is not a cell result ({exc!r}); "
+                "delete the file to start over"
+            ) from None
     if complete < len(data):
         with open(path, "r+b") as fh:
             fh.truncate(complete)

@@ -220,16 +220,23 @@ def test_search_input_errors_exit_one(tmp_path, capsys):
         assert code == cli.EXIT_INPUT, argv
 
 
-def test_search_refuses_single_object_checkpoint(tmp_path, capsys):
-    # the format checkpoints had before they became JSON lines
-    ck = tmp_path / "old.json"
-    ck.write_text(json.dumps({"task_hash": "0" * 64, "frontier": 0, "results": []}))
+def test_search_refuses_unreadable_checkpoints(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
     argv = ["search", "--form", "x2+y2", "--nmax", "6",
             "--out", str(tmp_path / "out"), "--checkpoint", str(ck)]
-    code, _, err = run_cli(argv, capsys)
-    assert code == cli.EXIT_INPUT
-    assert str(ck) in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    assert run_cli(argv, capsys)[0] == cli.EXIT_OK
+    header = ck.read_text().splitlines()[0]
+    bad = [
+        # the format checkpoints had before they became JSON lines
+        json.dumps({"task_hash": "0" * 64, "frontier": 0, "results": []}),
+        header + '\n{"cell": [2, 1]}\n',
+        header + '\n{"cell": [2, 1\n',
+    ]
+    for text in bad:
+        ck.write_text(text)
+        code, _, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_INPUT, text
+        assert str(ck) in err and "Traceback" not in err
 
 
 def test_config_file_resolution_and_override(tmp_path, capsys):
