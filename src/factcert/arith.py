@@ -8,15 +8,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath
-
 # Sieving beyond this allocates too much for a desk tool; callers can raise it.
 DEFAULT_SIEVE_BUDGET = 200_000_000
 
 # Residue thresholds below are exact methods either way; the split is cost only.
 _SMALL_TRIAL_BOUND = 100_000
 
-# Pollard rho squarings a budgeted factorization spends before giving up.
+# Squaring budget of each Pollard rho run in a budgeted factorization. It is
+# checked between Brent rounds, so a run may overshoot it (see _pollard_brent).
 DEFAULT_RHO_STEPS = 200_000
 
 # Primes the certifier's ascending scan tries by default.
@@ -159,7 +158,12 @@ def is_prime(n: int) -> bool:
 def _pollard_brent(n: int, max_steps: float) -> int | None:
     """Brent-cycle Pollard rho on odd composite n.
 
-    Returns a nontrivial factor, or None after roughly max_steps squarings.
+    Returns a nontrivial factor, or None once max_steps squarings are spent.
+    The budget is checked only between Brent rounds, and a round that has
+    started (r squarings, then up to r more in gcd blocks, r = 1, 2, 4, ...)
+    runs to its end. So a run can spend up to about 2 * max_steps: a run that
+    exhausts max_steps = 200_000 does 262_142 squarings, and a split may come
+    past step 200_000.
     The parameter schedule c = 1, 2, ... is fixed so repeated runs agree.
     """
     steps = 0
@@ -298,6 +302,7 @@ class PrimorialCheck:
 
 def log_primorial(a: int) -> float:
     """Sum of ln p over primes p <= a, accumulated at 96-bit precision."""
+    import mpmath  # imported on use, like every mpmath import (see bounds.py)
     with mpmath.workprec(_LOG_PRECISION_BITS):
         total = mpmath.mpf(0)
         for p in cached_sieve(max(a, 2)).primes:
@@ -315,6 +320,7 @@ def primorial_bound_check(limit: int) -> list[PrimorialCheck]:
     """
     if limit < 2:
         raise ValueError("limit must be at least 2")
+    import mpmath
     table = cached_sieve(limit)
     out = []
     with mpmath.workprec(_LOG_PRECISION_BITS):

@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
+# mpmath is imported inside the functions that use it (here and in
+# arith.log_primorial / primorial_bound_check): search, certify, recheck,
+# obstruct-scan and reproduce never need it, and loading it adds about 30 ms
+# and 4 MB to every fresh process.
 from . import arith
 from .forms import UnivariatePoly, depress, distinct_root_count, sandwich_threshold
 from .valuation import logfact
@@ -112,6 +114,7 @@ class StirlingInequality:
 
 def _s_log(t: int) -> mpmath.mpf:
     # caller must hold a workprec context
+    import mpmath
     if t == 0:
         return mpmath.mpf(0)
     tt = mpmath.mpf(t)
@@ -120,6 +123,7 @@ def _s_log(t: int) -> mpmath.mpf:
 
 def stirling_margin(ineq: StirlingInequality, *indices: int) -> float:
     """RHS log minus LHS log at the given indices; positive means satisfied."""
+    import mpmath
     with mpmath.workprec(_PRECISION_BITS):
         if ineq.kind is StirlingKind.SINGLE:
             (m,) = indices
@@ -143,6 +147,7 @@ def _single_h(slope: float, ln_e: float):
     satisfied set is a single integer interval. That is what lets the scans
     below certify permanence of failure.
     """
+    import mpmath
 
     def h(m: int) -> float:
         with mpmath.workprec(_PRECISION_BITS):
@@ -262,6 +267,7 @@ def stirling_frontier(ineq: StirlingInequality) -> list[tuple[int, int, int]]:
     """
     if ineq.kind is not StirlingKind.DOUBLE:
         raise ValueError("frontier is defined for the two-index form")
+    import mpmath
     a, b, ln_e = ineq.a, ineq.b, ineq.intercept_log()
 
     g, gp = _single_h(b, 0.0)

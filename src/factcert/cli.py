@@ -44,6 +44,7 @@ from . import forms as forms_mod
 from . import obstruction as obstruction_mod
 from . import solver as solver_mod
 from . import valuation as valuation_mod
+from .arith import SieveBudgetError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -761,7 +762,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             f"unknown preset {args.preset!r}; choose from {', '.join(sorted(PRESETS))}"
         )
     task, expected = PRESETS[name]()
-    if args.workers and args.workers > 1:
+    if args.workers is not None:
         task = dataclasses.replace(task, workers=args.workers)
     cfg = {"preset": name, "workers": task.workers}
     cfg_hash = config_hash(cfg)
@@ -948,7 +949,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
         return EXIT_OK
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SieveBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -4,10 +4,15 @@ codes."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import factcert
 from factcert import arith, cli
 from factcert.certify import Equation, Family
 from factcert.forms import BUNDLED_FORMS
@@ -317,6 +322,21 @@ def test_obstruct_scan_sum_of_squares(capsys):
     assert "density 0.542" in lines[-1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["obstruct-scan", "--form", "x2+y2", "--from", "3", "--to", "300000000"],
+        ["bounds", "--radical", "200000000"],
+    ],
+)
+def test_sieve_budget_overrun_is_input_error(argv, capsys):
+    # SieveBudgetError is a MemoryError, not a ValueError
+    code, out, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_INPUT
+    assert err.startswith("error: sieve limit") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_obstruct_scan_coeffs_matches_token(capsys):
     code_a, out_a, _ = run_cli(
         ["obstruct-scan", "--form", "x4+y4", "--from", "3", "--to", "60"], capsys
@@ -410,6 +430,18 @@ def test_reproduce_unknown_preset_exits_one(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_reproduce_refuses_nonpositive_workers(workers, tmp_path, capsys):
+    code, out, err = run_cli(
+        ["reproduce", "--preset", "BROCARD", "--workers", workers,
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == cli.EXIT_INPUT
+    assert err == "error: workers must be positive\n"
+    assert out == "" and not any(tmp_path.iterdir())
+
+
 def test_recheck_accepts_then_rejects_tampered(square_search, tmp_path, capsys):
     _, out_dir = square_search
     certs_path = out_dir / "certificates.json"
@@ -423,3 +455,58 @@ def test_recheck_accepts_then_rejects_tampered(square_search, tmp_path, capsys):
     code, out, _ = run_cli(["recheck", "--certs", str(bad_path)], capsys)
     assert code == cli.EXIT_OPEN
     assert "FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# mpmath is loaded only by the bounds layer
+# ---------------------------------------------------------------------------
+
+
+def _fresh_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(Path(factcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
+def test_exact_commands_never_import_mpmath(tmp_path):
+    script = (
+        "import sys\n"
+        "from factcert import cli\n"
+        "out = sys.argv[1]\n"
+        "runs = [\n"
+        "    ['search', '--form', 'x2+y2', '--nmax', '10', '--out', out + '/s'],\n"
+        "    ['certify', '--form', 'x2+y2', '--n', '7', '--m', '3'],\n"
+        "    ['recheck', '--deep', '--certs', out + '/s/certificates.json'],\n"
+        "    ['obstruct-scan', '--form', 'x2+y2', '--from', '3', '--to', '100'],\n"
+        "    ['reproduce', '--preset', 'BROCARD', '--out', out + '/r'],\n"
+        "]\n"
+        "for argv in runs:\n"
+        "    assert cli.main(argv) == cli.EXIT_OK, argv\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    proc = _fresh_python(script, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bounds_layer_imports_mpmath_on_use():
+    script = (
+        "import sys\n"
+        "import factcert\n"
+        "from factcert import cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "ineq = factcert.StirlingInequality(factcert.StirlingKind.SINGLE, a=8.0)\n"
+        "print(factcert.stirling_bound(ineq))\n"
+        "assert cli.main(['bounds', '--radical', '50']) == cli.EXIT_OK\n"
+        "assert cli.main(['bounds', '--stirling', '8,0,0,1']) == cli.EXIT_OK\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    proc = _fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "736"
+    assert "log radical 88.343511" in lines
+    assert "margin 51.672220  below=true" in lines
+    assert lines[-1] == "m_max=736"
