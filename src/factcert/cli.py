@@ -674,9 +674,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
     if cfg["radical"] is not None:
         m = cfg["radical"]
-        if m < 0:
-            raise CLIInputError("--radical wants a nonnegative integer")
-        rb = bounds_mod.radical_bound_factorial(m)
+        if m < 1:
+            raise CLIInputError("--radical wants a positive integer")
+        try:
+            rb = bounds_mod.radical_bound_factorial(m)
+        except SieveBudgetError:
+            raise CLIInputError(
+                f"sieve limit exceeded: --radical {m} is too large for the sieve budget"
+            ) from None
         print(f"# config {cfg_hash}")
         print(f"m {rb.m}  block (2m+1) {rb.block}")
         print(f"log radical {rb.theta_log:.6f}")

@@ -381,13 +381,15 @@ def scan_obstruction_primes(target, lo: int, hi: int) -> ObstructionScan:
 
 
 def _residue_roots(form: BinaryForm, q: int) -> list[tuple[int, int]]:
-    """All (x, y) in [0,q)^2 with q | f(x,y), by honest full scan."""
-    d = form.degree
+    """All (x, y) in [0,q)^2 with q | f(x,y), by honest full scan.
+
+    coeffs[i] multiplies x^(d-i) * y^i, so each row y folds y^i into
+    coeffs[i] and leaves a polynomial in x, descending, for Horner.
+    """
     coeffs = form.coeffs
     roots = []
     for y in range(q):
-        folded = [coeffs[d - i] * pow(y, i, q) % q for i in range(d + 1)]
-        folded.reverse()  # descending in x again
+        folded = [c * pow(y, i, q) % q for i, c in enumerate(coeffs)]
         for x in range(q):
             v = 0
             for c in folded:
@@ -397,13 +399,16 @@ def _residue_roots(form: BinaryForm, q: int) -> list[tuple[int, int]]:
     return roots
 
 
+@functools.lru_cache(maxsize=4096)
 def verify_forced_exponent(form: BinaryForm, q: int) -> bool:
     """Brute-force confirmation of a profile over all (x, y) in [0, q^2)^2.
 
     Every pair with q | f(x,y) reduces mod q to a root class; checking all
     q^2 lifts of each root class covers the whole square without touching the
     (vacuously fine) pairs q does not divide.  Ineligible profiles verify
-    vacuously.  Budgeted at q <= 200.
+    vacuously.  Budgeted at q <= 200.  The answer depends only on (form, q),
+    so the scan runs once per (form, q) per process; an over-budget q raises
+    on every call.
     """
     if q > VERIFY_PRIME_LIMIT:
         raise ValueError(f"exhaustive verification budgeted at q <= {VERIFY_PRIME_LIMIT}")

@@ -383,6 +383,22 @@ def test_bounds_radical(capsys):
     assert "below=true" in out
 
 
+@pytest.mark.parametrize("m", ["0", "-3"])
+def test_bounds_radical_rejects_nonpositive_index(m, capsys):
+    code, out, err = run_cli(["bounds", "--radical", m], capsys)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert err == "error: --radical wants a positive integer\n"
+
+
+def test_bounds_radical_overrun_names_the_typed_index(capsys):
+    # the check sieves to 2M+1; the message names M, not the internal limit
+    code, _, err = run_cli(["bounds", "--radical", "200000000"], capsys)
+    assert code == cli.EXIT_INPUT
+    assert "--radical 200000000 " in err
+    assert "400000001" not in err
+
+
 def test_bounds_pipeline_json(capsys):
     code, out, _ = run_cli(
         ["bounds", "--poly", "x^2-1", "--epsilon", "1/4"], capsys

@@ -1,11 +1,13 @@
 """Eligibility profiles, scans, and brute-force verification of forced
 exponents."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factcert import arith, obstruction
+from factcert import arith, certify, obstruction
 from factcert.forms import BUNDLED_FORMS, BinaryForm, UnivariatePoly
 from factcert.obstruction import (
     obstruction_profile,
@@ -125,6 +127,68 @@ def test_verify_forced_exponent_multiplicity_rule():
 def test_verify_forced_exponent_declared_square():
     for q in (3, 7, 11):
         assert verify_forced_exponent(BUNDLED_FORMS["x4+2x2y2+y4"], q)
+
+
+@pytest.fixture
+def fresh_verify_cache():
+    # the memo would hide a monkeypatched profile or scan, and keep its answer
+    verify_forced_exponent.cache_clear()
+    yield
+    verify_forced_exponent.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "coeffs, q",
+    [
+        ((1, 0, 1), 3),
+        ((1, 0, 1), 5),
+        ((1, 0, 1), 7),
+        ((1, 0, 0, 2), 5),
+        ((1, 0, 0, 2), 7),
+        ((2, 3, 5), 7),
+        ((2, 3, 5), 2),  # q divides the leading coefficient
+        ((1, -1, -2), 5),  # (x - 2y)(x + y)
+        ((1, -2, 2, -2, 1), 7),  # (x - y)^2 (x^2 + y^2)
+    ],
+)
+def test_residue_roots_match_direct_scan(coeffs, q):
+    f = BinaryForm(coeffs)
+    direct = [
+        (x, y) for y in range(q) for x in range(q) if f.evaluate(x, y) % q == 0
+    ]
+    assert obstruction._residue_roots(f, q) == direct
+
+
+def test_verify_rejects_overclaimed_exponent(monkeypatch, fresh_verify_cache):
+    # x2+y2 at 3 forces exactly 2: (3, 0) gives 9; a claim of 3 must fail
+    f = BUNDLED_FORMS["x2+y2"]
+    true_profile = obstruction_profile(f, 3)
+    overclaim = dataclasses.replace(true_profile, forced_exponent=f.degree + 1)
+    monkeypatch.setattr(obstruction, "obstruction_profile", lambda form, q: overclaim)
+    assert not verify_forced_exponent(f, 3)
+
+
+def test_deep_recheck_scans_each_form_and_prime_once(monkeypatch, fresh_verify_cache):
+    eq = certify.Equation.sum_binary(1, 1, (1, 0, 1))
+    certs = [
+        c
+        for n in range(2, 10)
+        for m in range(1, n)
+        if (c := certify.certify_cell(eq, (n, m))) is not None
+        and c.prime <= obstruction.VERIFY_PRIME_LIMIT
+    ]
+    primes = {c.prime for c in certs}
+    assert len(certs) > len(primes)  # some prime repeats
+    scanned = []
+    real_scan = obstruction._residue_roots
+
+    def counting_scan(form, q):
+        scanned.append(q)
+        return real_scan(form, q)
+
+    monkeypatch.setattr(obstruction, "_residue_roots", counting_scan)
+    assert all(certify.recheck(c, deep=True) for c in certs)
+    assert sorted(scanned) == sorted(primes)
 
 
 def test_verify_vacuous_for_ineligible():
