@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from . import arith, obstruction, valuation
 from .forms import BinaryForm, UnivariatePoly, clear_denominators
 from .obstruction import REASON_LINEAR_MULTIPLICITY, REASON_NO_ROOT
-from .valuation import FactorialKind, FactorialSpec, _cofactor_is_zero
+from .valuation import _cofactor_is_zero
 
 CHECKER_VERSION = "1.0"
 
@@ -187,8 +187,7 @@ def left_valuation(eq: Equation, cell: Sequence[int], q: int) -> int:
     if eq.is_sum:
         n, m = cell
         return valuation.combined_valuation(eq.a, eq.b, n, m, q)
-    specs = [FactorialSpec(FactorialKind.DOUBLE_FACTORIAL, c) for c in cell]
-    return valuation.product_valuation(eq.b, specs, q)
+    return valuation.product_valuation(eq.b, cell, q)
 
 
 @dataclass(frozen=True)

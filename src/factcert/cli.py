@@ -201,9 +201,6 @@ _DEFAULTS: dict[str, object] = {
     "epsilon": None,
     "k_epsilon": None,
     "multiplier": 1,
-    "preset": None,
-    "certs": None,
-    "deep": False,
 }
 
 _INT_KEYS = {
@@ -211,7 +208,7 @@ _INT_KEYS = {
     "rho_steps", "workers", "checkpoint_interval", "n", "m", "lo", "hi",
     "radical", "multiplier",
 }
-_BOOL_KEYS = {"single_factorial", "include_diagonal", "range_override", "deep"}
+_BOOL_KEYS = {"single_factorial", "include_diagonal", "range_override"}
 _LIST_KEYS = {"prod_bounds", "dfact"}
 
 
@@ -557,9 +554,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             prime_budget=cfg["prime_budget"],
             rho_steps=cfg["rho_steps"],
         )
-    except certify_mod.ZeroLeftSideError as exc:
-        raise CLIInputError(str(exc)) from None
-    except ValueError as exc:
+    except ValueError as exc:  # ZeroLeftSideError among them
         raise CLIInputError(str(exc)) from None
     if cert is None:
         print(f"# config {cfg_hash}", file=sys.stderr)

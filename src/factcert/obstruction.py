@@ -18,23 +18,10 @@ from dataclasses import dataclass
 from . import arith
 from .forms import BinaryForm, UnivariatePoly, factor_univariate, modified_discriminant
 
-# Exhaustive residue scans below this; Frobenius-gcd root detection above.
-# Both are exact; the split is purely a cost choice.
-ROOT_SCAN_THRESHOLD = 1000
-
 VERIFY_PRIME_LIMIT = 200
 
 REASON_NO_ROOT = "NO_ROOT_MOD_Q"
 REASON_LINEAR_MULTIPLICITY = "LINEAR_FACTOR_MULTIPLICITY"
-
-EXCLUDED_DIVIDES_LEADING = "DIVIDES_LEADING"
-EXCLUDED_DIVIDES_INVARIANTS = "DIVIDES_INVARIANTS"
-EXCLUDED_HAS_ROOT = "HAS_ROOT_MOD_Q"
-EXCLUDED_MIN_DEGREE_ONE = "MIN_DEGREE_MULTIPLICITY_ONE"
-EXCLUDED_MULTIPLE_LINEAR = "MULTIPLE_LINEAR_FACTORS"
-EXCLUDED_SHARED_ROOT = "SHARED_ROOT_WITH_LINEAR_FACTOR"
-EXCLUDED_DIVIDES_CONSTANT = "DIVIDES_FACTOR_CONSTANT"
-EXCLUDED_DEGENERATE_LINEAR = "LINEAR_FACTOR_VANISHES_MOD_Q"
 
 
 @dataclass(frozen=True)
@@ -52,10 +39,23 @@ class ObstructionProfile:
     eligible: bool
     forced_exponent: int | None
     reason: str | None
-    excluded_reason: str | None
     total_degree: int
     univariate: bool
     unbounded: bool = False
+
+
+def _profile(q, degree, univariate, forced_exponent=None, reason=None):
+    """A profile from its rule: no reason means ineligible, and an eligible
+    profile with no forced exponent is the unbounded univariate one."""
+    return ObstructionProfile(
+        q=q,
+        eligible=reason is not None,
+        forced_exponent=forced_exponent,
+        reason=reason,
+        total_degree=degree,
+        univariate=univariate,
+        unbounded=reason is not None and forced_exponent is None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -105,24 +105,16 @@ def _gf_mulmod(a: list[int], b: list[int], mod: list[int], q: int) -> list[int]:
     return _gf_divmod_rem(out, mod, q)
 
 
-def has_root_mod_q(coeffs, q: int, threshold: int = ROOT_SCAN_THRESHOLD) -> bool:
+def has_root_mod_q(coeffs, q: int) -> bool:
     """Does the polynomial have a root mod q?  Exact for all q.
 
-    Small q: scan every residue.  Large q: gcd with the Frobenius polynomial
-    x^q - x, whose roots in GF(q) are exactly the field elements.
+    One method: the gcd with the Frobenius polynomial x^q - x, whose roots
+    in GF(q) are exactly the field elements.
     """
     red = _poly_mod_q(coeffs, q)
     if not red:
         return True  # identically zero: every residue is a root
     if len(red) == 1:
-        return False
-    if q <= threshold:
-        for x in range(q):
-            v = 0
-            for c in red:
-                v = (v * x + c) % q
-            if v == 0:
-                return True
         return False
     f = list(reversed(red))  # ascending
     # x^q mod f by square and multiply
@@ -155,16 +147,14 @@ def _form_invariants(form: BinaryForm):
     return (form.lead, form.coconstant, modified_discriminant(form), form.content())
 
 
-def _irreducible_factor_checks(form: BinaryForm, q: int):
-    """Shared eligibility tests for one irreducible form; returns excluded_reason."""
+def _irreducible_factor_ok(form: BinaryForm, q: int) -> bool:
+    """Shared eligibility tests for one irreducible form."""
     lead, coconst, delta_mod, content = _form_invariants(form)
-    if lead % q == 0:
-        return EXCLUDED_DIVIDES_LEADING
-    if (coconst * delta_mod * content) % q == 0:
-        return EXCLUDED_DIVIDES_INVARIANTS
-    if has_root_mod_q(form.dehomogenized(), q):
-        return EXCLUDED_HAS_ROOT
-    return None
+    return (
+        lead % q != 0
+        and (coconst * delta_mod * content) % q != 0
+        and not has_root_mod_q(form.dehomogenized(), q)
+    )
 
 
 def _require_prime(q: int) -> None:
@@ -182,26 +172,9 @@ def is_obstruction_prime(form: BinaryForm, q: int) -> ObstructionProfile:
         raise ValueError(
             "form is not irreducible (or not declared so); use the factored route"
         )
-    excluded = _irreducible_factor_checks(form, q)
-    if excluded is not None:
-        return ObstructionProfile(
-            q=q,
-            eligible=False,
-            forced_exponent=None,
-            reason=None,
-            excluded_reason=excluded,
-            total_degree=d,
-            univariate=False,
-        )
-    return ObstructionProfile(
-        q=q,
-        eligible=True,
-        forced_exponent=d,
-        reason=REASON_NO_ROOT,
-        excluded_reason=None,
-        total_degree=d,
-        univariate=False,
-    )
+    if not _irreducible_factor_ok(form, q):
+        return _profile(q, d, False)
+    return _profile(q, d, False, d, REASON_NO_ROOT)
 
 
 def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfile:
@@ -209,61 +182,27 @@ def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfil
     _require_prime(q)
     if form.factors is None:
         form = form.with_found_factors()  # raises past degree 4
-
-    def ineligible(why):
-        return ObstructionProfile(
-            q=q,
-            eligible=False,
-            forced_exponent=None,
-            reason=None,
-            excluded_reason=why,
-            total_degree=form.degree,
-            univariate=False,
-        )
-
-    if min(f.degree * e for f, e in form.factors) == 1:
-        return ineligible(EXCLUDED_MIN_DEGREE_ONE)
-    if form.factor_constant % q == 0:
-        return ineligible(EXCLUDED_DIVIDES_CONSTANT)
-
+    d = form.degree
+    if min(f.degree * e for f, e in form.factors) == 1 or form.factor_constant % q == 0:
+        return _profile(q, d, False)
     linear = [(f, e) for f, e in form.factors if f.degree == 1]
-    higher = [(f, e) for f, e in form.factors if f.degree >= 2]
-    for f, _ in higher:
-        excluded = _irreducible_factor_checks(f, q)
-        if excluded is not None:
-            return ineligible(excluded)
-
+    higher = [f for f, _ in form.factors if f.degree >= 2]
+    if not all(_irreducible_factor_ok(f, q) for f in higher):
+        return _profile(q, d, False)
     if not linear:
-        return ObstructionProfile(
-            q=q,
-            eligible=True,
-            forced_exponent=form.degree,
-            reason=REASON_NO_ROOT,
-            excluded_reason=None,
-            total_degree=form.degree,
-            univariate=False,
-        )
+        return _profile(q, d, False, d, REASON_NO_ROOT)
     if len(linear) > 1:
         # two repeated lines give a union of multiple patterns; stay conservative
-        return ineligible(EXCLUDED_MULTIPLE_LINEAR)
+        return _profile(q, d, False)
     (lin, mult) = linear[0]
     alpha, beta = lin.coeffs
     if alpha % q == 0 and beta % q == 0:
-        return ineligible(EXCLUDED_DEGENERATE_LINEAR)
+        return _profile(q, d, False)
     # (x:y) = (-beta:alpha) is the zero of the line mod q; no other factor may
     # vanish there or mixed contributions break the multiple-of-e pattern.
-    for f, _ in higher:
-        if f.evaluate(-beta, alpha) % q == 0:
-            return ineligible(EXCLUDED_SHARED_ROOT)
-    return ObstructionProfile(
-        q=q,
-        eligible=True,
-        forced_exponent=mult,
-        reason=REASON_LINEAR_MULTIPLICITY,
-        excluded_reason=None,
-        total_degree=form.degree,
-        univariate=False,
-    )
+    if any(f.evaluate(-beta, alpha) % q == 0 for f in higher):
+        return _profile(q, d, False)
+    return _profile(q, d, False, mult, REASON_LINEAR_MULTIPLICITY)
 
 
 def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionProfile:
@@ -277,57 +216,20 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
     """
     _require_prime(q)
     d = poly.degree
-
-    def ineligible(why):
-        return ObstructionProfile(
-            q=q,
-            eligible=False,
-            forced_exponent=None,
-            reason=None,
-            excluded_reason=why,
-            total_degree=d,
-            univariate=True,
-        )
-
     if not has_root_mod_q(poly.coeffs, q):
-        return ObstructionProfile(
-            q=q,
-            eligible=True,
-            forced_exponent=None,
-            reason=REASON_NO_ROOT,
-            excluded_reason=None,
-            total_degree=d,
-            univariate=True,
-            unbounded=True,
-        )
+        return _profile(q, d, True, reason=REASON_NO_ROOT)
     if d > 4:
-        return ineligible(EXCLUDED_HAS_ROOT)
+        return _profile(q, d, True)
     constant, factors = factor_univariate(poly.coeffs)
-    if constant % q == 0:
-        return ineligible(EXCLUDED_DIVIDES_CONSTANT)
     linear = [(fc, e) for fc, e in factors if len(fc) == 2]
-    higher = [(fc, e) for fc, e in factors if len(fc) >= 3]
-    if min((len(fc) - 1) * e for fc, e in factors) == 1:
-        return ineligible(EXCLUDED_MIN_DEGREE_ONE)
+    if constant % q == 0 or min((len(fc) - 1) * e for fc, e in factors) == 1:
+        return _profile(q, d, True)
     if len(linear) != 1:
-        return ineligible(
-            EXCLUDED_MULTIPLE_LINEAR if linear else EXCLUDED_HAS_ROOT
-        )
+        return _profile(q, d, True)
     (lc, mult) = linear[0]
-    if lc[0] % q == 0:
-        return ineligible(EXCLUDED_DEGENERATE_LINEAR)
-    for fc, _ in higher:
-        if has_root_mod_q(fc, q):
-            return ineligible(EXCLUDED_HAS_ROOT)
-    return ObstructionProfile(
-        q=q,
-        eligible=True,
-        forced_exponent=mult,
-        reason=REASON_LINEAR_MULTIPLICITY,
-        excluded_reason=None,
-        total_degree=d,
-        univariate=True,
-    )
+    if lc[0] % q == 0 or any(has_root_mod_q(fc, q) for fc, _ in factors if len(fc) >= 3):
+        return _profile(q, d, True)
+    return _profile(q, d, True, mult, REASON_LINEAR_MULTIPLICITY)
 
 
 @functools.lru_cache(maxsize=200_000)

@@ -553,7 +553,6 @@ class SearchTask:
     rho_steps: int = DEFAULT_RHO_STEPS
     checkpoint_path: str | None = None
     checkpoint_interval: int = 200
-    cross_check: bool = True
     range_override: bool = False
     abort_after_cells: int | None = None
     workers: int = 1
@@ -759,7 +758,7 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
     definite quadratic target the solve lists every representation from the
     left side's factorization: a witness gives SOLUTION, none gives
     NONE_EXHAUSTIVE (exhaustive_by_factorization), and a factorization the
-    rho budget left incomplete gives UNKNOWN (unfactored).  cross_check
+    rho budget left incomplete gives UNKNOWN (unfactored).  The cross-check
     re-solves certified cells where that is cheap and insists on no
     solution; a violation is a soundness bug, so it raises.
     """
@@ -793,8 +792,7 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
         rho_steps=task.rho_steps,
     )
     if cert is not None:
-        if task.cross_check:
-            _cross_check_certificate(task, eq, cell)
+        _cross_check_certificate(task, eq, cell)
         return CellResult(
             cell, CellStatus.CERTIFIED, certificate=cert, hypothesis=hyp
         )

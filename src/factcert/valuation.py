@@ -8,26 +8,8 @@ modulo growing prime powers until a nonzero residue pins it down.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
-
-
-class FactorialKind(enum.Enum):
-    FACTORIAL = "factorial"
-    DOUBLE_FACTORIAL = "double_factorial"
-
-
-@dataclass(frozen=True)
-class FactorialSpec:
-    """One factorial-type term: n! or n!!."""
-
-    kind: FactorialKind
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("factorial argument must be nonnegative")
+from typing import Sequence
 
 
 def legendre_valuation(n: int, p: int) -> int:
@@ -118,8 +100,8 @@ def combined_valuation(a: int, b: int, n: int, m: int, q: int) -> int:
         k *= 2
 
 
-def product_valuation(b: int, specs: list[FactorialSpec], q: int) -> int:
-    """Exact v_q of b * product of the given factorial terms (always exact)."""
+def product_valuation(b: int, args: Sequence[int], q: int) -> int:
+    """Exact v_q of b * n1!! * ... * nr!! for args = (n1, ..., nr)."""
     if b == 0:
         raise ValueError("multiplier b must be nonzero")
     if q < 2:
@@ -129,12 +111,7 @@ def product_valuation(b: int, specs: list[FactorialSpec], q: int) -> int:
     while bb % q == 0:
         bb //= q
         total += 1
-    for spec in specs:
-        if spec.kind is FactorialKind.FACTORIAL:
-            total += legendre_valuation(spec.n, q)
-        else:
-            total += double_factorial_valuation(spec.n, q)
-    return total
+    return total + sum(double_factorial_valuation(n, q) for n in args)
 
 
 def factorial_sketch(n: int, q_limit: int | None = None) -> dict[int, int]:

@@ -2,14 +2,17 @@
 exponents."""
 
 import dataclasses
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factcert import arith, certify, obstruction
-from factcert.forms import BUNDLED_FORMS, BinaryForm, UnivariatePoly
+from factcert.forms import BUNDLED_FORMS, BUNDLED_POLYS, BinaryForm, UnivariatePoly
 from factcert.obstruction import (
+    has_root_mod_q,
     obstruction_profile,
     scan_obstruction_primes,
     verify_forced_exponent,
@@ -39,7 +42,6 @@ def test_sum_of_squares_profile_small_primes():
     assert not p5.eligible
     p2 = obstruction_profile(f, 2)
     assert not p2.eligible
-    assert p2.excluded_reason is not None
 
 
 def test_eligibility_matches_kronecker_for_pell_forms():
@@ -62,10 +64,10 @@ def test_eligibility_matches_brute_roots():
         BinaryForm((2, 0, 3)),
         BinaryForm((1, 0, 0, 2)),
         BinaryForm((1, 0, 0, 0, 3)),
+        *BUNDLED_FORMS.values(),
     ]
     for f in rng_forms:
-        d = f.degree
-        for q in (3, 5, 7, 11, 13):
+        for q in (2, 3, 5, 7, 11, 13, 17, 19, 23):
             has_root = any(
                 f.evaluate(x, y) % q == 0
                 for x in range(q)
@@ -73,9 +75,52 @@ def test_eligibility_matches_brute_roots():
                 if (x, y) != (0, 0)
             )
             profile = obstruction_profile(f, q)
-            if profile.excluded_reason is not None:
+            if not profile.eligible:
                 continue
-            assert profile.eligible is (not has_root), (f.coeffs, q)
+            assert not has_root, (f.coeffs, q)
+
+
+def _scan_has_root(coeffs, q):
+    return any(
+        sum(c * pow(x, len(coeffs) - 1 - i, q) for i, c in enumerate(coeffs)) % q == 0
+        for x in range(q)
+    )
+
+
+def test_has_root_mod_q_matches_residue_scan():
+    rng = random.Random(15)
+    primes = arith.cached_sieve(400).primes
+    polys = [tuple(rng.randint(-50, 50) for _ in range(rng.randint(2, 7))) for _ in range(40)]
+    polys += [(3, 0, 1), (1, 0, -2), (1, 0, 0, 0, 0, 0, -1)]
+    for coeffs in polys:
+        for q in primes:
+            assert has_root_mod_q(coeffs, q) is _scan_has_root(coeffs, q), (coeffs, q)
+    # identically zero mod q: every residue is a root
+    for q in (2, 3, 5, 7):
+        assert has_root_mod_q((q, -2 * q, 5 * q), q)
+    # x^q - x vanishes on all of GF(q); x^q - x + 1 has no root; degree >= q
+    for q in (2, 3, 5):
+        frob = (1,) + (0,) * (q - 2) + (-1, 0)
+        assert has_root_mod_q(frob, q)
+        assert not has_root_mod_q(frob[:-1] + (1,), q)
+
+
+# sha256 over (q, eligible, forced_exponent, reason, unbounded, total_degree,
+# univariate) for every bundled form and polynomial and MULTIPLICITY_FORM at
+# every prime below 3000
+PROFILE_PIN = "1d39cc3819745ef0da754ab37c97f4a6cd8ceccb55d2762f56d16383ebd41109"
+
+
+def test_profiles_pinned_below_3000():
+    targets = [*BUNDLED_FORMS.values(), *BUNDLED_POLYS.values(), MULTIPLICITY_FORM]
+    h = hashlib.sha256()
+    for target in targets:
+        for q in arith.cached_sieve(2999).primes:
+            p = obstruction_profile(target, q)
+            row = (q, p.eligible, p.forced_exponent, p.reason, p.unbounded,
+                   p.total_degree, p.univariate)
+            h.update(repr(row).encode())
+    assert h.hexdigest() == PROFILE_PIN
 
 
 def test_univariate_profiles():
@@ -223,8 +268,8 @@ def test_forced_exponent_divides_valuations_in_samples(q):
             assert v % 2 == 0, (x, y, q)
 
 
-def test_excluded_reasons_present():
+def test_content_prime_ineligible():
     f = BinaryForm((3, 0, 3))  # content 3
     profile = obstruction_profile(f, 3)
     assert not profile.eligible
-    assert profile.excluded_reason is not None
+    assert profile.forced_exponent is None and profile.reason is None

@@ -106,16 +106,11 @@ def test_combined_valuation_zero_left_side_raises():
 
 
 def test_product_valuation_matches_direct():
-    from factcert.valuation import FactorialKind, FactorialSpec
-
-    spec = (
-        FactorialSpec(FactorialKind.DOUBLE_FACTORIAL, 9),
-        FactorialSpec(FactorialKind.DOUBLE_FACTORIAL, 12),
-    )
+    args = (9, 12)
     value = valuation.double_factorial_exact(9) * valuation.double_factorial_exact(12)
     for b in (1, 6, -15):
         for q in (2, 3, 5, 7, 11):
-            got = valuation.product_valuation(b, spec, q)
+            got = valuation.product_valuation(b, args, q)
             assert got == _exact_valuation(b * value, q)
 
 
