@@ -94,23 +94,6 @@ class StirlingInequality:
     def intercept_log(self) -> float:
         return (self.c or 0.0) + math.log(self.e)
 
-    @classmethod
-    def single_from_log_bound(cls, slope: float, intercept: float) -> "StirlingInequality":
-        """Absorb log((2m+1)!!) < slope*m + intercept into the Stirling form.
-
-        Stirling gives (2m+1)!! > ((2m+1)/e)^(2m+1) / (2^m m^m), so the
-        absorbed inequality has slope + 2 + log2 against the Stirling left
-        side, intercept + 1 as the new intercept. Its satisfied set contains
-        that of the original bound, so its crossing is a valid m_max.
-        """
-        if slope <= 0:
-            raise ValueError("slope must be positive")
-        return cls(
-            kind=StirlingKind.SINGLE,
-            a=slope + 2 + LN2,
-            c=intercept + 1,
-        )
-
 
 def _s_log(t: int) -> mpmath.mpf:
     # caller must hold a workprec context

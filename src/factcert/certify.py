@@ -553,20 +553,6 @@ def recheck(cert: Certificate, *, deep: bool = False) -> bool:
         return False
 
 
-def in_hypothesis_region(eq: Equation, cell: Sequence[int]) -> bool:
-    """Whether the cell sits where the asymptotic argument applies.
-
-    For sum cells that means m > 2*max(|a|, |b|); for product cells the
-    largest argument plays the role of m against |b|.  Outside the region
-    certificates are still valid, the annotation only marks where the
-    finiteness argument predicts they exist.
-    """
-    cell = eq.normalize_cell(cell)
-    if eq.is_sum:
-        return cell[1] > 2 * max(abs(eq.a), abs(eq.b))
-    return max(cell) > 2 * abs(eq.b)
-
-
 @dataclass(frozen=True)
 class WindowPrimeReport:
     """Prime availability in the certificate window above m/2.

@@ -189,7 +189,6 @@ _DEFAULTS: dict[str, object] = {
     "rho_steps": solver_mod.DEFAULT_RHO_STEPS,
     "workers": 1,
     "checkpoint": None,
-    "checkpoint_interval": 200,
     "out": None,
     "n": None,
     "m": None,
@@ -205,7 +204,7 @@ _DEFAULTS: dict[str, object] = {
 
 _INT_KEYS = {
     "a", "b", "n_max", "m_min", "m_max", "prime_budget", "ball_cap",
-    "rho_steps", "workers", "checkpoint_interval", "n", "m", "lo", "hi",
+    "rho_steps", "workers", "n", "m", "lo", "hi",
     "radical", "multiplier",
 }
 _BOOL_KEYS = {"single_factorial", "include_diagonal", "range_override"}
@@ -278,7 +277,7 @@ def _canon(value) -> str:
 
 # keys that never change result bytes: equal hashes must mean equal results,
 # so where files land and how work is scheduled stay out of the digest
-_UNHASHED_KEYS = {"out", "checkpoint", "checkpoint_interval", "workers"}
+_UNHASHED_KEYS = {"out", "checkpoint", "workers"}
 
 
 def config_hash(resolved: dict[str, object]) -> str:
@@ -472,7 +471,7 @@ _SEARCH_KEYS = [
     "family", "a", "b", "form", "poly", "kind", "coeffs", "n_max", "m_min",
     "m_max", "prod_bounds", "single_factorial", "include_diagonal",
     "range_override", "prime_budget", "ball_cap", "rho_steps", "workers",
-    "checkpoint", "checkpoint_interval", "out",
+    "checkpoint", "out",
 ]
 
 
@@ -492,7 +491,6 @@ def _build_search_task(cfg: dict) -> tuple[certify_mod.Equation, solver_mod.Sear
             ball_cap=cfg["ball_cap"],
             rho_steps=cfg["rho_steps"],
             checkpoint_path=cfg["checkpoint"],
-            checkpoint_interval=cfg["checkpoint_interval"],
             workers=cfg["workers"],
         )
     except ValueError as exc:
@@ -879,7 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--rho-steps", dest="rho_steps", type=int)
     ps.add_argument("--workers", type=int)
     ps.add_argument("--checkpoint", help="checkpoint file (JSON lines, resumable)")
-    ps.add_argument("--checkpoint-interval", dest="checkpoint_interval", type=int)
     ps.add_argument("--out", help="output directory (default runs/<hash12>)")
     ps.set_defaults(func=cmd_search)
 

@@ -196,6 +196,7 @@ def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfil
         return _profile(q, d, False)
     (lin, mult) = linear[0]
     alpha, beta = lin.coeffs
+    # A declared factor list need not be primitive: q | (alpha, beta) has no line mod q.
     if alpha % q == 0 and beta % q == 0:
         return _profile(q, d, False)
     # (x:y) = (-beta:alpha) is the zero of the line mod q; no other factor may
@@ -227,7 +228,7 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
     if len(linear) != 1:
         return _profile(q, d, True)
     (lc, mult) = linear[0]
-    if lc[0] % q == 0 or any(has_root_mod_q(fc, q) for fc, _ in factors if len(fc) >= 3):
+    if any(has_root_mod_q(fc, q) for fc, _ in factors if len(fc) >= 3):
         return _profile(q, d, True)
     return _profile(q, d, True, mult, REASON_LINEAR_MULTIPLICITY)
 

@@ -8,6 +8,7 @@ runs the (n, m)-grid search that assigns every cell exactly one status.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import hashlib
@@ -29,7 +30,6 @@ from .certify import (
     Equation,
     certify_cell,
     cofactor_factorization,
-    in_hypothesis_region,
     left_is_zero,
     left_value,
 )
@@ -485,10 +485,6 @@ class CellStatus(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
-class SearchAborted(RuntimeError):
-    """Raised by the abort_after_cells test hook at a chunk boundary."""
-
-
 @dataclass(frozen=True)
 class CellResult:
     cell: tuple[int, ...]
@@ -496,7 +492,6 @@ class CellResult:
     witness: tuple[int, ...] | None = None
     certificate: Certificate | None = None
     note: str = ""
-    hypothesis: bool | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -507,7 +502,6 @@ class CellResult:
             if self.certificate is None
             else self.certificate.to_dict(),
             "note": self.note,
-            "hypothesis": self.hypothesis,
         }
 
     @classmethod
@@ -520,7 +514,6 @@ class CellResult:
             witness=None if wit is None else tuple(int(w) for w in wit),
             certificate=None if cert is None else Certificate.from_dict(cert),
             note=data.get("note", ""),
-            hypothesis=data.get("hypothesis"),
         )
 
 
@@ -536,9 +529,9 @@ class SearchTask:
     (rho_steps also bounds the factoring a definite quadratic solve uses;
     the certifier stops factoring at the first prime that certifies),
     ball_cap limits enumeration radii and the ideals a definite solve tries.
-    checkpoint_path names a JSON-lines file that gets one line per cell,
-    appended every checkpoint_interval cells; rerunning the same task with
-    it resumes where the file ends (see run_search).
+    checkpoint_path names a JSON-lines file that gets one line per cell as
+    the cell completes; rerunning the same task with it resumes where the
+    file ends (see run_search).
     """
 
     equation: Equation
@@ -552,14 +545,12 @@ class SearchTask:
     ball_cap: int = DEFAULT_BALL_CAP
     rho_steps: int = DEFAULT_RHO_STEPS
     checkpoint_path: str | None = None
-    checkpoint_interval: int = 200
     range_override: bool = False
-    abort_after_cells: int | None = None
     workers: int = 1
 
     def __post_init__(self):
-        if self.prime_budget < 1 or self.ball_cap < 1 or self.checkpoint_interval < 1:
-            raise ValueError("budgets and checkpoint interval must be positive")
+        if self.prime_budget < 1 or self.ball_cap < 1:
+            raise ValueError("budgets must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
         eq = self.equation
@@ -731,9 +722,7 @@ def _left_factorization(task: SearchTask, cell) -> tuple[dict[int, int], list[in
     return dict(exps), leftovers
 
 
-def _solve_cell(
-    task: SearchTask, cell, value: int, note: str, hypothesis: bool | None
-) -> CellResult:
+def _solve_cell(task: SearchTask, cell, value: int, note: str) -> CellResult:
     """Exact solving of one left-side value; a witness is re-evaluated."""
     target = task.equation.target
     factorization = None
@@ -747,7 +736,7 @@ def _solve_cell(
             f"witness {witness} fails direct evaluation at cell {cell}"
         )
     note = f"{note} {solve_note}".strip()
-    return CellResult(cell, status, witness=witness, note=note, hypothesis=hypothesis)
+    return CellResult(cell, status, witness=witness, note=note)
 
 
 def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
@@ -765,25 +754,18 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
     eq = task.equation
 
     if task.single_factorial:
-        return _solve_cell(task, cell, math.factorial(cell[0]), "", None)
-
-    hyp = in_hypothesis_region(eq, cell)
+        return _solve_cell(task, cell, math.factorial(cell[0]), "")
 
     if eq.is_sum and cell[0] == cell[1]:
         if eq.a + eq.b == 0:
             return CellResult(
-                cell,
-                CellStatus.DEGENERATE,
-                note="identically_zero_family",
-                hypothesis=hyp,
+                cell, CellStatus.DEGENERATE, note="identically_zero_family"
             )
         value = (eq.a + eq.b) * math.factorial(cell[0])
-        return _solve_cell(task, cell, value, "diagonal_reduced", hyp)
+        return _solve_cell(task, cell, value, "diagonal_reduced")
 
     if left_is_zero(eq, cell):
-        return CellResult(
-            cell, CellStatus.DEGENERATE, note="zero_left_side", hypothesis=hyp
-        )
+        return CellResult(cell, CellStatus.DEGENERATE, note="zero_left_side")
 
     cert = certify_cell(
         eq,
@@ -793,11 +775,9 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
     )
     if cert is not None:
         _cross_check_certificate(task, eq, cell)
-        return CellResult(
-            cell, CellStatus.CERTIFIED, certificate=cert, hypothesis=hyp
-        )
+        return CellResult(cell, CellStatus.CERTIFIED, certificate=cert)
 
-    return _solve_cell(task, cell, left_value(eq, cell), "", hyp)
+    return _solve_cell(task, cell, left_value(eq, cell), "")
 
 
 def _cross_check_certificate(task: SearchTask, eq: Equation, cell) -> None:
@@ -877,10 +857,28 @@ def _open_checkpoint(path: str, task_hash: str) -> list[CellResult]:
     return results
 
 
-def _append_checkpoint(path: str, results: list[CellResult]) -> None:
-    lines = "".join(json.dumps(r.to_dict()) + "\n" for r in results)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(lines)
+@contextlib.contextmanager
+def _pool_map(workers: int, classify, cells: list):
+    """Ordered results of classify over cells from spawned worker processes."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # classify_cell is pure, so worker processes need only the task.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        # Batches of 10 cells halve the parent's dispatch cost and, on x2+y2
+        # grids, balance the load as well as single cells.
+        yield pool.map(classify, cells, chunksize=10)
+    except BrokenProcessPool as exc:
+        raise RuntimeError(
+            "a search worker process died; with workers > 1 a "
+            "calling script needs an if __name__ == '__main__': guard"
+        ) from exc
+    finally:
+        # Every cell is queued at once: drop the ones not yet started, or an
+        # error or Ctrl-C would wait for the rest of the grid.
+        pool.shutdown(cancel_futures=True)
 
 
 def run_search(task: SearchTask) -> SearchReport:
@@ -889,9 +887,9 @@ def run_search(task: SearchTask) -> SearchReport:
     Results are produced in ascending (sum, cell) order regardless of worker
     count.  workers > 1 runs cells in spawned processes, which re-import the
     caller's main module: a calling script needs a __main__ guard.  With a
-    checkpoint path, each chunk of checkpoint_interval cells is appended to
-    a JSON-lines file once it is classified, and a rerun resumes after the
-    last complete line: completed prefixes are never recomputed.
+    checkpoint path, each cell's result is appended to a JSON-lines file as
+    soon as it arrives in order, so a killed run loses only the cells in
+    flight, and a rerun resumes after the last complete line.
     """
     t0 = time.perf_counter()
     task_hash = task.fingerprint()
@@ -905,50 +903,22 @@ def run_search(task: SearchTask) -> SearchReport:
         if len(done) > len(cells):
             raise ValueError("checkpoint covers more cells than the task")
 
-    processed_new = 0
-    idx = len(done)
+    # classify_cell is looked up per run, so a replaced module attribute counts.
     classify = functools.partial(classify_cell, task)
-    pool = None
+    todo = cells[len(done) :]
     if task.workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # classify_cell is pure, so worker processes need only the task.
-        pool = ProcessPoolExecutor(
-            task.workers, mp_context=multiprocessing.get_context("spawn")
-        )
-    try:
-        while idx < len(cells):
-            chunk_len = min(task.checkpoint_interval, len(cells) - idx)
-            if task.abort_after_cells is not None:
-                room = task.abort_after_cells - processed_new
-                if room <= 0:
-                    raise SearchAborted(
-                        f"aborted after {processed_new} cells (test hook)"
-                    )
-                chunk_len = min(chunk_len, room)
-            chunk = cells[idx : idx + chunk_len]
-            if pool is not None:
-                # Batches of 10 cells halve the parent's dispatch cost and,
-                # on x2+y2 grids, balance the load as well as single cells.
-                try:
-                    results = list(pool.map(classify, chunk, chunksize=10))
-                except BrokenProcessPool as exc:
-                    raise RuntimeError(
-                        "a search worker process died; with workers > 1 a "
-                        "calling script needs an if __name__ == '__main__': guard"
-                    ) from exc
-            else:
-                results = [classify(c) for c in chunk]
-            done.extend(results)
-            idx += chunk_len
-            processed_new += chunk_len
-            if task.checkpoint_path:
-                _append_checkpoint(task.checkpoint_path, results)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        classified = _pool_map(task.workers, classify, todo)
+    else:
+        classified = contextlib.nullcontext(map(classify, todo))
+    checkpoint = contextlib.nullcontext()
+    if task.checkpoint_path:
+        checkpoint = open(task.checkpoint_path, "a", encoding="utf-8")
+    with checkpoint as out, classified as results:
+        for result in results:
+            done.append(result)
+            if out is not None:
+                out.write(json.dumps(result.to_dict()) + "\n")
+                out.flush()
 
     totals = {status.value: 0 for status in CellStatus}
     for r in done:

@@ -6,12 +6,9 @@ arithmetic, literal enumeration, an inline prime sieve), never from the
 modules under test, and each test asserts its stated wall-clock budget.
 """
 
-import dataclasses
 import json
 import math
 import time
-
-import pytest
 
 from factcert import cli
 from factcert.arith import primorial_bound_check
@@ -24,12 +21,7 @@ from factcert.bounds import (
 from factcert.certify import Equation, recheck
 from factcert.forms import BUNDLED_FORMS, BinaryForm
 from factcert.obstruction import scan_obstruction_primes, verify_forced_exponent
-from factcert.solver import (
-    CellStatus,
-    SearchAborted,
-    SearchTask,
-    run_search,
-)
+from factcert.solver import CellStatus, SearchTask, run_search
 from factcert.valuation import combined_valuation, double_factorial_exact
 
 
@@ -242,7 +234,7 @@ def test_criterion_10_double_factorial_identities():
     assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_11_resume_determinism(tmp_path):
+def test_criterion_11_resume_determinism(tmp_path, interrupt_after):
     eq = Equation.sum_univariate(1, 1, (1, 0, 0))
     plain_task = SearchTask(equation=eq, n_max=20)
     baseline = run_search(plain_task)
@@ -253,17 +245,10 @@ def test_criterion_11_resume_determinism(tmp_path):
 
     for i, abort_at in enumerate((25, 90, 170)):
         ck = tmp_path / f"ck{i}.json"
-        task = SearchTask(
-            equation=eq,
-            n_max=20,
-            checkpoint_path=str(ck),
-            checkpoint_interval=10,
-            abort_after_cells=abort_at,
-        )
-        with pytest.raises(SearchAborted):
-            run_search(task)
-        assert ck.exists()
-        resumed = run_search(dataclasses.replace(task, abort_after_cells=None))
+        task = SearchTask(equation=eq, n_max=20, checkpoint_path=str(ck))
+        interrupt_after(task, abort_at)
+        assert ck.read_bytes().count(b"\n") == 1 + abort_at
+        resumed = run_search(task)
         out = tmp_path / f"resumed{i}"
         cli._write_search_outputs(out, "resume-check", eq, plain_task, resumed)
         got_csv = (out / "results.csv").read_bytes().split(b"\r\n", 1)[1]

@@ -8,7 +8,6 @@ import mpmath
 import pytest
 
 from factcert.bounds import (
-    LN2,
     AbcParams,
     BoundScanError,
     MonomialTargetError,
@@ -68,16 +67,6 @@ def test_intercept_equivalence_log_vs_prefactor():
     v2 = StirlingInequality(kind=StirlingKind.SINGLE, a=4.0, e=math.exp(2.0))
     assert v1.intercept_log() == pytest.approx(v2.intercept_log())
     assert stirling_bound(v1) == stirling_bound(v2)
-
-
-def test_single_from_log_bound_absorbs_slope_and_intercept():
-    ineq = StirlingInequality.single_from_log_bound(3.0, 2.0)
-    assert ineq.kind is StirlingKind.SINGLE
-    assert ineq.a == pytest.approx(3.0 + 2 + LN2)
-    assert ineq.c == pytest.approx(3.0)
-    m_max = stirling_bound(ineq)
-    assert stirling_margin(ineq, m_max) > 0
-    assert stirling_margin(ineq, m_max + 1) < 0
 
 
 def test_inconsistent_slope_hits_scan_cap():

@@ -12,7 +12,6 @@ from factcert.certify import (
     Equation,
     ZeroLeftSideError,
     certify_cell,
-    in_hypothesis_region,
     left_is_zero,
     left_valuation,
     left_value,
@@ -301,15 +300,6 @@ def test_cofactor_filter_bounds_valuation_calls(monkeypatch):
 def test_no_certificate_for_representable_value():
     # 5! + 4! = 144 = x^2 has a solution; no sound certificate can exist
     assert certify_cell(SUM_X2, (5, 4)) is None
-
-
-def test_in_hypothesis_region():
-    assert in_hypothesis_region(SUM_SQUARES, (10, 5))
-    assert not in_hypothesis_region(SUM_SQUARES, (10, 2))
-    eq = Equation.sum_binary(1, 3, (1, 0, 1))
-    assert not in_hypothesis_region(eq, (10, 6))
-    assert in_hypothesis_region(eq, (10, 7))
-    assert in_hypothesis_region(PROD_X2, (3,))
 
 
 def test_window_prime_report_fields():

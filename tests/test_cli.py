@@ -100,9 +100,8 @@ def test_config_hash_ignores_output_only_keys():
         "out": "runs/a",
         "workers": 2,
         "checkpoint": "ck.json",
-        "checkpoint_interval": 50,
     }
-    moved = dict(base, out="runs/b", workers=8, checkpoint=None, checkpoint_interval=10)
+    moved = dict(base, out="runs/b", workers=8, checkpoint=None)
     assert cli.config_hash(base) == cli.config_hash(moved)
     assert cli.config_hash(dict(base, nmax=31)) != cli.config_hash(base)
     assert cli.config_hash(dict(base, prime_budget=26)) != cli.config_hash(base)

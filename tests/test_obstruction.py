@@ -269,7 +269,11 @@ def test_forced_exponent_divides_valuations_in_samples(q):
 
 
 def test_content_prime_ineligible():
-    f = BinaryForm((3, 0, 3))  # content 3
-    profile = obstruction_profile(f, 3)
-    assert not profile.eligible
-    assert profile.forced_exponent is None and profile.reason is None
+    non_primitive = BinaryForm(
+        (4, 8, 4), factors=((BinaryForm((2, 2)), 2),), factor_constant=1
+    )
+    # 3x^2 + 3y^2 has content 3; the declared factor 2x + 2y has no line mod 2
+    for f, q in ((BinaryForm((3, 0, 3)), 3), (non_primitive, 2)):
+        profile = obstruction_profile(f, q)
+        assert not profile.eligible
+        assert profile.forced_exponent is None and profile.reason is None

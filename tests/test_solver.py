@@ -2,6 +2,7 @@
 determinism."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,6 @@ from factcert.forms import (
 )
 from factcert.solver import (
     CellStatus,
-    SearchAborted,
     SearchTask,
     _real_root_floors,
     classify_cell,
@@ -504,28 +504,21 @@ def _report_blob(report) -> str:
     return json.dumps([r.to_dict() for r in report.results], sort_keys=True)
 
 
-def test_checkpoint_resume_equals_uninterrupted(tmp_path):
+def test_checkpoint_resume_equals_uninterrupted(tmp_path, interrupt_after):
     ck = tmp_path / "ck.json"
-    task = SearchTask(
-        equation=SUM_X2, n_max=16, checkpoint_path=str(ck),
-        checkpoint_interval=10, abort_after_cells=35,
-    )
-    with pytest.raises(SearchAborted):
-        run_search(task)
-    assert ck.exists()
-    resumed = run_search(dataclasses.replace(task, abort_after_cells=None))
+    task = SearchTask(equation=SUM_X2, n_max=16, checkpoint_path=str(ck))
+    interrupt_after(task, 35)
+    assert ck.read_bytes().count(b"\n") == 1 + 35
+    resumed = run_search(task)
     plain = run_search(SearchTask(equation=SUM_X2, n_max=16))
     assert _report_blob(resumed) == _report_blob(plain)
 
 
-def test_checkpoint_task_hash_guard(tmp_path):
+def test_checkpoint_task_hash_guard(tmp_path, interrupt_after):
     ck = tmp_path / "ck.json"
-    task = SearchTask(
-        equation=SUM_X2, n_max=14, checkpoint_path=str(ck),
-        checkpoint_interval=5, abort_after_cells=12,
-    )
-    with pytest.raises(SearchAborted):
-        run_search(task)
+    task = SearchTask(equation=SUM_X2, n_max=14, checkpoint_path=str(ck))
+    interrupt_after(task, 12)
+    assert ck.read_bytes().count(b"\n") == 1 + 12
     other = SearchTask(equation=SUM_X2, n_max=15, checkpoint_path=str(ck))
     with pytest.raises(ValueError):
         run_search(other)
@@ -533,9 +526,7 @@ def test_checkpoint_task_hash_guard(tmp_path):
 
 def test_checkpoint_is_header_then_one_line_per_cell(tmp_path):
     ck = tmp_path / "ck.jsonl"
-    task = SearchTask(
-        equation=SUM_X2, n_max=12, checkpoint_path=str(ck), checkpoint_interval=7
-    )
+    task = SearchTask(equation=SUM_X2, n_max=12, checkpoint_path=str(ck))
     report = run_search(task)
     header, *lines = ck.read_text().splitlines()
     assert json.loads(header) == {
@@ -544,47 +535,58 @@ def test_checkpoint_is_header_then_one_line_per_cell(tmp_path):
     assert lines == [json.dumps(r.to_dict()) for r in report.results]
 
 
-def test_checkpoint_torn_last_line_is_dropped(tmp_path):
+def test_checkpoint_torn_last_line_is_dropped(tmp_path, interrupt_after):
     ck = tmp_path / "ck.jsonl"
-    task = SearchTask(
-        equation=SUM_X2, n_max=16, checkpoint_path=str(ck),
-        checkpoint_interval=10, abort_after_cells=30,
-    )
-    with pytest.raises(SearchAborted):
-        run_search(task)
+    task = SearchTask(equation=SUM_X2, n_max=16, checkpoint_path=str(ck))
+    interrupt_after(task, 30)
     whole = ck.read_bytes()
+    assert whole.count(b"\n") == 1 + 30
     last = whole.splitlines(keepends=True)[-1]
     ck.write_bytes(whole + last[: len(last) // 2])  # killed mid-append
-    resumed = run_search(dataclasses.replace(task, abort_after_cells=None))
+    resumed = run_search(task)
     fresh = tmp_path / "fresh.jsonl"
-    plain = run_search(
-        dataclasses.replace(task, checkpoint_path=str(fresh), abort_after_cells=None)
-    )
+    plain = run_search(dataclasses.replace(task, checkpoint_path=str(fresh)))
     assert ck.read_bytes() == fresh.read_bytes()
     assert _report_blob(resumed) == _report_blob(plain)
 
 
+def test_checkpoint_from_earlier_version_resumes(tmp_path):
+    # Lines of earlier versions carry a "hypothesis" flag (m > 2*max(|a|,|b|)
+    # for sum cells); they still load, and resuming from them gives the
+    # uninterrupted results.
+    fresh = tmp_path / "fresh.jsonl"
+    task = SearchTask(equation=SUM_X2, n_max=16, checkpoint_path=str(fresh))
+    plain = run_search(task)
+    header, *lines = fresh.read_text().splitlines(keepends=True)
+    old = [
+        json.dumps(dict(d, hypothesis=d["cell"][1] > 2)) + "\n"
+        for d in map(json.loads, lines[:29])
+    ]
+    assert all('"hypothesis": ' in line for line in old)
+    ck = tmp_path / "old.jsonl"
+    ck.write_text(header + "".join(old))
+    resumed = run_search(dataclasses.replace(task, checkpoint_path=str(ck)))
+    assert _report_blob(resumed) == _report_blob(plain)
+    assert ck.read_text() == header + "".join(old + lines[29:])
+
+
 def test_checkpoint_resume_after_sigkill_mid_chunk(tmp_path):
     ck = tmp_path / "ck.jsonl"
-    task = SearchTask(
-        equation=SUM_SQUARES, n_max=40, checkpoint_path=str(ck),
-        checkpoint_interval=20,
-    )
+    task = SearchTask(equation=SUM_SQUARES, n_max=40, checkpoint_path=str(ck))
     script = (
         "import sys\n"
         "from factcert.certify import Equation\n"
         "from factcert.solver import SearchTask, run_search\n"
         "eq = Equation.sum_binary(1, 1, (1, 0, 1))\n"
-        "run_search(SearchTask(equation=eq, n_max=40, checkpoint_path=sys.argv[1],"
-        " checkpoint_interval=20))\n"
+        "run_search(SearchTask(equation=eq, n_max=40, checkpoint_path=sys.argv[1]))\n"
     )
     src = str(Path(factcert.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen([sys.executable, "-c", script, str(ck)], env=env)
     try:
         deadline = time.monotonic() + 120
-        # three chunks on disk: the worker is now inside the fourth
-        while not ck.exists() or ck.read_bytes().count(b"\n") < 1 + 3 * 20:
+        # kill once at least 60 cells are on disk, wherever the search is
+        while not ck.exists() or ck.read_bytes().count(b"\n") < 1 + 60:
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.005)
     finally:
@@ -619,6 +621,30 @@ def test_workers_do_not_change_results():
     base = run_search(SearchTask(equation=SUM_X2, n_max=18))
     quad = run_search(SearchTask(equation=SUM_X2, n_max=18, workers=4))
     assert _report_blob(base) == _report_blob(quad)
+
+
+def test_error_mid_search_cancels_queued_cells(tmp_path, monkeypatch):
+    # The pool gets every cell at once. A checkpoint write that fails after
+    # 20 cells must drop the queued ones, not wait for the whole grid (about
+    # 13 s of work on two cores).
+    real = solver.CellResult.to_dict
+    calls = itertools.count()
+
+    def to_dict(self):
+        if next(calls) == 20:
+            raise OSError("disk full")
+        return real(self)
+
+    monkeypatch.setattr(solver.CellResult, "to_dict", to_dict)
+    ck = tmp_path / "ck.jsonl"
+    task = SearchTask(
+        equation=SUM_SQUARES, n_max=100, checkpoint_path=str(ck), workers=2
+    )
+    start = time.monotonic()
+    with pytest.raises(OSError, match="disk full"):
+        run_search(task)
+    assert time.monotonic() - start < 10
+    assert ck.read_bytes().count(b"\n") == 1 + 20
 
 
 def test_unguarded_worker_script_gets_clear_error(tmp_path):
