@@ -49,6 +49,7 @@ from .arith import SieveBudgetError
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_OPEN = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as shells report Ctrl-C
 
 GRAMMAR_DEGREE_LIMIT = 4
 DECIMAL_PRINT_LIMIT = 10**40
@@ -949,6 +950,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, SieveBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except KeyboardInterrupt:
+        print(
+            "interrupted; rerunning a search with the same --checkpoint "
+            "resumes it",
+            file=sys.stderr,
+        )
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

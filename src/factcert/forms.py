@@ -194,7 +194,11 @@ class UnivariatePoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+        coeffs = self.coeffs
+        # a tuple that already leads with a nonzero is stored as given: the
+        # ball search builds one per x-slice
+        if not isinstance(coeffs, tuple) or (coeffs and coeffs[0] == 0):
+            object.__setattr__(self, "coeffs", _trim(coeffs))
         if not self.coeffs:
             raise ValueError("zero polynomial is not a valid right side")
 

@@ -172,32 +172,53 @@ def _real_root_floors(coeffs: Sequence[int]) -> list[int]:
     return sorted(out)
 
 
+# Modulus of the power-residue reject in integer_root: 16 * 9 * 7 * 13.  Each
+# prime power has few d-th power residues for small d (squares and cubes
+# both pass about 3.4% of residues), and the table stays small.
+_RESIDUE_MODULUS = 13104
+
+
+@functools.cache
+def _power_residues(d: int) -> bytes:
+    """Byte r is 1 exactly when r is a d-th power modulo _RESIDUE_MODULUS."""
+    table = bytearray(_RESIDUE_MODULUS)
+    for x in range(_RESIDUE_MODULUS):
+        table[pow(x, d, _RESIDUE_MODULUS)] = 1
+    return bytes(table)
+
+
 def integer_root(f: UnivariatePoly, target: int) -> list[int]:
     """All integers x with f(x) == target, sorted ascending.  Complete.
 
     A binomial g = f - target = c*x^d + e (every coefficient strictly between
     the leading and the constant one zero, so every linear g) is answered in
     closed form: x^d = -e/c has an integer root only if c divides e and
-    -e/c is a perfect d-th power.  Any other polynomial goes through real
-    root isolation (_real_root_floors) and an exact test of each candidate.
+    |e/c| is a perfect d-th power.  A |e/c| whose residue modulo
+    _RESIDUE_MODULUS is no d-th power residue is rejected before the
+    exact root is taken.  Any other polynomial goes through real root
+    isolation (_real_root_floors) and an exact test of each candidate.
     """
-    if f.degree < 1:
+    coeffs = f.coeffs
+    d = len(coeffs) - 1
+    if d < 1:
         raise ValueError("need degree >= 1")
-    g = tuple(f.coeffs[:-1]) + (f.coeffs[-1] - target,)
-    if not any(g[1:-1]):
-        c, e = g[0], g[-1]
-        d = len(g) - 1
+    if not any(coeffs[1:-1]):
+        c, e = coeffs[0], coeffs[-1] - target
         if e % c:
             return []
         t = -e // c
         if t < 0 and d % 2 == 0:
             return []
-        r = _nth_root_floor(abs(t), d)
-        if r**d != abs(t):
+        a = abs(t)
+        if not _power_residues(d)[a % _RESIDUE_MODULUS]:
+            return []
+        r = _nth_root_floor(a, d)
+        if r**d != a:
             return []
         if t == 0:
             return [0]
         return [-r, r] if d % 2 == 0 else [r if t > 0 else -r]
+    g = coeffs[:-1] + (coeffs[-1] - target,)
     candidates = _real_root_floors(g)
     return sorted(
         {k for c in candidates for k in (c, c + 1) if _eval_int(g, k) == 0}
@@ -447,21 +468,28 @@ def represent_general_form(
 ) -> tuple[int, int] | None:
     """A solution of f(x,y) = target with |x| <= ball, or None if there is none.
 
-    Each x-slice is solved completely (integer_root), so a hit can report y
-    beyond the ball.  None says nothing about solutions with |x| > ball.
+    Slices go x = 0, 1, -1, 2, -2, ... and every slice f(sx, y) of degree at
+    least 1 is solved completely by one integer_root call, so a hit can
+    report y beyond the ball.  None says nothing about solutions with
+    |x| > ball.
     """
     if ball < 1:
         raise ValueError("ball must be positive")
     if target == 0:
         return (0, 0)
-    d = form.degree
+    # f(sx, y) as a univariate in y, descending: the y^i coefficient is
+    # form.coeffs[i] * sx^(d - i), so walk from the y^d end
+    from_y_end = form.coeffs[::-1]
+    trim = from_y_end[0] == 0
     for x in range(0, ball + 1):
         for sx in ((x,) if x == 0 else (x, -x)):
-            # f(sx, y) as a univariate in y, descending
-            sliced = _trim(
-                tuple(form.coeffs[i] * sx ** (d - i) for i in range(d, -1, -1))
-            )
-            if _degree(sliced) < 1:
+            sliced = []
+            power = 1
+            for c in from_y_end:
+                sliced.append(c * power)
+                power *= sx
+            sliced = _trim(sliced) if trim else tuple(sliced)
+            if len(sliced) < 2:
                 if sliced and sliced[0] == target:
                     return (sx, 0)
                 continue
@@ -814,10 +842,15 @@ CHECKPOINT_FORMAT = "factcert-checkpoint-jsonl-1"
 def _open_checkpoint(path: str, task_hash: str) -> list[CellResult]:
     """Results already stored at path, creating it (header only) if missing.
 
+    A missing parent directory is created, as search's output directory is.
+
     A torn last line (no newline: the writer died mid-append) is dropped and
     cut from the file, so the next append starts on a line boundary.
     """
     if not os.path.exists(path):
+        parent = os.path.dirname(path)
+        if parent:
+            os.makedirs(parent, exist_ok=True)
         header = {"format": CHECKPOINT_FORMAT, "task_hash": task_hash}
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -861,15 +894,30 @@ def _open_checkpoint(path: str, task_hash: str) -> list[CellResult]:
 def _pool_map(workers: int, classify, cells: list):
     """Ordered results of classify over cells from spawned worker processes."""
     import multiprocessing
+    import signal
+    import threading
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     # classify_cell is pure, so worker processes need only the task.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
-        # Batches of 10 cells halve the parent's dispatch cost and, on x2+y2
-        # grids, balance the load as well as single cells.
-        yield pool.map(classify, cells, chunksize=10)
+        # Ctrl-C signals the whole process group, and only the parent should
+        # report it.  map submits every batch, so it spawns every worker, and
+        # a worker spawned while SIGINT is ignored ignores it from its first
+        # instruction on (an initializer would leave its start-up exposed).
+        # Only the main thread may set handlers, and only it gets Ctrl-C.
+        main = threading.current_thread() is threading.main_thread()
+        if main:
+            previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            # Batches of 10 cells halve the parent's dispatch cost and, on
+            # x2+y2 grids, balance the load as well as single cells.
+            results = pool.map(classify, cells, chunksize=10)
+        finally:
+            if main:
+                signal.signal(signal.SIGINT, previous)
+        yield results
     except BrokenProcessPool as exc:
         raise RuntimeError(
             "a search worker process died; with workers > 1 a "

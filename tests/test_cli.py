@@ -5,8 +5,10 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -241,6 +243,72 @@ def test_search_refuses_unreadable_checkpoints(tmp_path, capsys):
         code, _, err = run_cli(argv, capsys)
         assert code == cli.EXIT_INPUT, text
         assert str(ck) in err and "Traceback" not in err
+
+
+def test_search_creates_the_checkpoint_directory(tmp_path, capsys):
+    ck = tmp_path / "runs" / "nested" / "ci.ckpt"
+    argv = ["search", "--form", "x2+y2", "--nmax", "12", "--checkpoint", str(ck)]
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "first")], capsys)
+    assert code == cli.EXIT_OK, err
+    written = ck.read_bytes()
+    assert written.count(b"\n") == 1 + 66
+    code, _, err = run_cli(argv + ["--out", str(tmp_path / "resumed")], capsys)
+    assert code == cli.EXIT_OK, err
+    assert ck.read_bytes() == written
+    for name in ("certificates.json", "summary.json"):
+        first = (tmp_path / "first" / name).read_bytes()
+        assert (tmp_path / "resumed" / name).read_bytes() == first, name
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ctrl_c_exits_130_and_resumes(tmp_path, capsys, workers):
+    # Ctrl-C in a terminal signals the whole process group: the parent and
+    # every worker.
+    ck = tmp_path / "ck.jsonl"
+    argv = ["search", "--form", "x2+y2", "--nmax", "40"]
+    src = str(Path(factcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "factcert.cli", *argv,
+             "--workers", str(workers), "--checkpoint", str(ck),
+             "--out", str(tmp_path / "cut")],
+            env=env, stdout=subprocess.DEVNULL, stderr=err,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not ck.exists() or ck.read_bytes().count(b"\n") < 1 + 1:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+    stderr = err_path.read_text()
+    assert proc.returncode == cli.EXIT_INTERRUPTED, stderr
+    assert "Traceback" not in stderr
+    assert stderr.count("\n") == 1 and "--checkpoint" in stderr
+    assert ck.read_bytes().count(b"\n") < 1 + 780
+    resumed, fresh = tmp_path / "resumed", tmp_path / "fresh"
+    resumed_code, _, _ = run_cli(
+        argv + ["--checkpoint", str(ck), "--out", str(resumed)], capsys
+    )
+    fresh_code, _, _ = run_cli(
+        argv + ["--checkpoint", str(tmp_path / "fresh.jsonl"), "--out", str(fresh)],
+        capsys,
+    )
+    assert resumed_code == fresh_code == cli.EXIT_OPEN  # x2+y2 leaves open cells
+    assert ck.read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+    for name in ("certificates.json", "summary.json"):
+        assert (resumed / name).read_bytes() == (fresh / name).read_bytes(), name
+    # results.csv differs only in its "# generated" timestamp line
+    resumed_csv = (resumed / "results.csv").read_text().splitlines()[1:]
+    assert resumed_csv == (fresh / "results.csv").read_text().splitlines()[1:]
 
 
 def test_config_file_resolution_and_override(tmp_path, capsys):

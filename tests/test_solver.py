@@ -120,8 +120,42 @@ def test_binomial_roots_factorial_scale(d):
     assert integer_root(poly, 3 * r**d + 7) == negative
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_binomial_power_residue_reject_is_exact(d):
+    # x^d = t through c*x^d + 7 = target, for both signs of c and of t
+    period = solver._RESIDUE_MODULUS
+    powers = {x**d: x for x in range(math.isqrt(2 * period) + 2)}
+
+    def exact(t):
+        r = powers.get(abs(t))
+        if r is None or (t < 0 and d % 2 == 0):
+            return []
+        if d % 2 == 0:
+            return sorted({-r, r})
+        return [r if t > 0 else -r]
+
+    for c in (1, -1):
+        poly = UnivariatePoly((c,) + (0,) * (d - 1) + (7,))
+        for t in range(-2 * period, 2 * period + 1):
+            assert integer_root(poly, c * t + 7) == exact(t), (c, t)
+    # every residue class modulo the period holds a d-th power that is found,
+    # so a residue missing from the table fails here
+    poly = UnivariatePoly((1,) + (0,) * (d - 1) + (0,))
+    for x in range(period):
+        assert x in integer_root(poly, x**d), x
+    for n in (20, 40, 60):
+        r = math.factorial(n)
+        assert integer_root(poly, r**d) == ([-r, r] if d % 2 == 0 else [r])
+        assert integer_root(poly, -(r**d)) == ([] if d % 2 == 0 else [-r])
+        for t in (r**d, -(r**d)):
+            assert integer_root(poly, t - 1) == integer_root(poly, t + 1) == []
+
+
 # Witnesses at the commit before integer_root solved binomials in closed form;
-# every target in GENERAL_GRID_TARGETS not listed here has no solution with
+# those of (1, 1, -1), whose slices take root isolation, and (1, 0, -3, 0),
+# whose slices lose their y^3 term, were taken before slices were built from
+# running powers and power residues rejected binomials.
+# Every target in GENERAL_GRID_TARGETS not listed here has no solution with
 # |x| <= 300.
 GENERAL_GRID_TARGETS = list(range(-30, 31)) + [8, 28, 122, 168, 732, 6480]
 GENERAL_GRID_WITNESSES = {
@@ -144,6 +178,20 @@ GENERAL_GRID_WITNESSES = {
         4: (0, 1), 6: (1, 1), 12: (2, -1), 16: (2, 0), 20: (2, 1),
         22: (3, -2), 30: (-1, 2), 6480: (-6, 12), 9364: (150, -119),
         65874: None,
+    },
+    (1, 1, -1): {
+        -29: (1, -5), -25: (0, 5), -20: (2, -4), -19: (1, -4), -16: (0, 4),
+        -11: (1, -3), -9: (0, 3), -5: (1, -2), -4: (0, 2), -1: (0, 1),
+        0: (0, 0), 1: (1, 0), 4: (2, 0), 5: (2, 1), 9: (3, 0), 11: (3, 1),
+        16: (4, 0), 19: (4, 1), 20: (4, 2), 25: (5, 0), 29: (5, 1),
+        6480: (72, 36),
+    },
+    (1, 0, -3, 0): {
+        -27: (-3, 0), -26: (1, 3), -18: (-3, 1), -16: (2, 2), -11: (1, 2),
+        -10: (5, 3), -9: (3, 2), -8: (-2, 0), -7: (-7, 4), -2: (1, 1),
+        -1: (-1, 0), 0: (0, 0), 1: (1, 0), 2: (-1, 1), 7: (7, 4), 8: (2, 0),
+        9: (-3, 2), 10: (-5, 3), 11: (-1, 2), 16: (-2, 2), 18: (3, 1),
+        26: (-1, 3), 27: (3, 0),
     },
 }
 
