@@ -435,6 +435,8 @@ def certify_cell(
         raise ZeroLeftSideError(f"left side is zero at cell {cell}")
     if prime_budget < 1:
         raise ValueError("prime_budget must be positive")
+    if rho_steps < 0:
+        raise ValueError("rho_steps must be nonnegative")
     if eq.is_sum and cell[0] == cell[1]:
         raise ValueError("need n > m >= 0")
     target = eq.target

@@ -196,7 +196,7 @@ class UnivariatePoly:
     def __post_init__(self):
         coeffs = self.coeffs
         # a tuple that already leads with a nonzero is stored as given: the
-        # ball search builds one per x-slice
+        # ball search builds one per x-slice of a non-diagonal form
         if not isinstance(coeffs, tuple) or (coeffs and coeffs[0] == 0):
             object.__setattr__(self, "coeffs", _trim(coeffs))
         if not self.coeffs:

@@ -470,30 +470,40 @@ def represent_general_form(
 
     Slices go x = 0, 1, -1, 2, -2, ... and every slice f(sx, y) of degree at
     least 1 is solved completely by one integer_root call, so a hit can
-    report y beyond the ball.  None says nothing about solutions with
-    |x| > ball.
+    report y beyond the ball.  A diagonal form c0*x^d + cd*y^d (cd nonzero)
+    builds its y-polynomial cd*y^d once and moves only the target, to
+    target - c0*sx^d; any other form builds f(sx, y) per slice.  None says
+    nothing about solutions with |x| > ball.
     """
     if ball < 1:
         raise ValueError("ball must be positive")
     if target == 0:
         return (0, 0)
+    coeffs = form.coeffs
+    d = len(coeffs) - 1
+    diagonal = coeffs[-1] and not any(coeffs[1:-1])
+    if diagonal:
+        poly = UnivariatePoly((coeffs[-1],) + (0,) * d)
     # f(sx, y) as a univariate in y, descending: the y^i coefficient is
     # form.coeffs[i] * sx^(d - i), so walk from the y^d end
-    from_y_end = form.coeffs[::-1]
+    from_y_end = coeffs[::-1]
     trim = from_y_end[0] == 0
     for x in range(0, ball + 1):
         for sx in ((x,) if x == 0 else (x, -x)):
-            sliced = []
-            power = 1
-            for c in from_y_end:
-                sliced.append(c * power)
-                power *= sx
-            sliced = _trim(sliced) if trim else tuple(sliced)
-            if len(sliced) < 2:
-                if sliced and sliced[0] == target:
-                    return (sx, 0)
-                continue
-            roots = integer_root(UnivariatePoly(sliced), target)
+            if diagonal:
+                roots = integer_root(poly, target - coeffs[0] * sx**d)
+            else:
+                sliced = []
+                power = 1
+                for c in from_y_end:
+                    sliced.append(c * power)
+                    power *= sx
+                sliced = _trim(sliced) if trim else tuple(sliced)
+                if len(sliced) < 2:
+                    if sliced and sliced[0] == target:
+                        return (sx, 0)
+                    continue
+                roots = integer_root(UnivariatePoly(sliced), target)
             if roots:
                 y = min(roots, key=lambda r: (abs(r), r < 0))
                 return (sx, y)
@@ -579,6 +589,8 @@ class SearchTask:
     def __post_init__(self):
         if self.prime_budget < 1 or self.ball_cap < 1:
             raise ValueError("budgets must be positive")
+        if self.rho_steps < 0:
+            raise ValueError("rho_steps must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be positive")
         eq = self.equation
@@ -587,6 +599,8 @@ class SearchTask:
                 raise ValueError("sum families need a positive n_max")
             if self.m_min < 0:
                 raise ValueError("m_min must be nonnegative")
+            if self.m_max is not None and self.m_max < self.m_min:
+                raise ValueError("m_max must be at least m_min")
             if self.single_factorial and eq.poly is None:
                 raise ValueError("single-factorial mode needs a univariate target")
         else:

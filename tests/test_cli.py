@@ -226,6 +226,24 @@ def test_search_input_errors_exit_one(tmp_path, capsys):
         assert code == cli.EXIT_INPUT, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--form", "x2+y2", "--nmax", "6", "--rho-steps", "-5"],
+        ["search", "--form", "x2+y2", "--nmax", "6", "--mmin", "5", "--mmax", "3"],
+        ["certify", "--form", "x2+y2", "--n", "6", "--m", "2", "--rho-steps", "-1"],
+    ],
+)
+def test_out_of_range_budgets_and_ranges_exit_one(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == cli.EXIT_INPUT
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_search_refuses_unreadable_checkpoints(tmp_path, capsys):
     ck = tmp_path / "ck.json"
     argv = ["search", "--form", "x2+y2", "--nmax", "6",

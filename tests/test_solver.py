@@ -154,7 +154,8 @@ def test_binomial_power_residue_reject_is_exact(d):
 # Witnesses at the commit before integer_root solved binomials in closed form;
 # those of (1, 1, -1), whose slices take root isolation, and (1, 0, -3, 0),
 # whose slices lose their y^3 term, were taken before slices were built from
-# running powers and power residues rejected binomials.
+# running powers and power residues rejected binomials; those of (1, 0, -2)
+# and (3, 0, 0, -5) before diagonal forms reused one y-polynomial.
 # Every target in GENERAL_GRID_TARGETS not listed here has no solution with
 # |x| <= 300.
 GENERAL_GRID_TARGETS = list(range(-30, 31)) + [8, 28, 122, 168, 732, 6480]
@@ -178,6 +179,20 @@ GENERAL_GRID_WITNESSES = {
         4: (0, 1), 6: (1, 1), 12: (2, -1), 16: (2, 0), 20: (2, 1),
         22: (3, -2), 30: (-1, 2), 6480: (-6, 12), 9364: (150, -119),
         65874: None,
+    },
+    (1, 0, -2): {
+        -28: (2, 4), -25: (5, 5), -23: (3, 4), -18: (0, 3), -17: (1, 3),
+        -16: (4, 4), -14: (2, 3), -9: (3, 3), -8: (0, 2), -7: (1, 2),
+        -4: (2, 2), -2: (0, 1), -1: (1, 1), 0: (0, 0), 1: (1, 0), 2: (2, 1),
+        4: (2, 0), 7: (3, 1), 8: (4, 2), 9: (3, 0), 14: (4, 1), 16: (4, 0),
+        17: (5, 2), 18: (6, 3), 23: (5, 1), 25: (5, 0), 28: (6, 2),
+    },
+    (3, 0, 0, -5): {
+        -29: (-2, 1), -24: (-2, 0), -23: (-6, -5), -19: (-2, -1),
+        -16: (2, 2), -8: (-1, 1), -5: (0, 1), -3: (-1, 0), -2: (1, 1),
+        0: (0, 0), 2: (-1, -1), 3: (1, 0), 5: (0, -1), 8: (1, -1),
+        16: (-2, -2), 19: (2, 1), 23: (6, 5), 24: (2, 0), 29: (2, -1),
+        6480: (15, 9),
     },
     (1, 1, -1): {
         -29: (1, -5), -25: (0, 5), -20: (2, -4), -19: (1, -4), -16: (0, 4),
@@ -203,6 +218,74 @@ def test_represent_general_form_witnesses_unchanged(coeffs):
     for target in sorted(set(GENERAL_GRID_TARGETS) | set(expected)):
         got = represent_general_form(form, target, 300)
         assert got == expected.get(target), (coeffs, target)
+
+
+DIAGONAL_FORMS = [(1, 0, 0, 2), (1, 0, -2), (3, 0, 0, -5), (2, 0, 0, 4), (1, 0, 0, 0, 1)]
+
+
+def _box_scan(form, targets, ball):
+    """First witness per target over a box, in the ball search's x order.
+
+    Scans every (x, y) with |x| <= ball and |y| up to where |cd*y^d| alone
+    exceeds every target plus the largest |c0*x^d|, so each f(x, y) in
+    targets is seen; within an x the witness is min by (|y|, y < 0).
+    """
+    c0, cd, d = form.coeffs[0], form.coeffs[-1], form.degree
+    reach = max(abs(t) for t in targets) + abs(c0) * ball**d
+    y_max = 0
+    while abs(cd) * y_max**d <= reach:
+        y_max += 1
+    found = {}
+    for x in range(ball + 1):
+        for sx in ((x,) if x == 0 else (x, -x)):
+            ys = {}
+            for y in range(-y_max, y_max + 1):
+                ys.setdefault(form.evaluate(sx, y), []).append(y)
+            for t in targets:
+                if t not in found and t in ys:
+                    found[t] = (sx, min(ys[t], key=lambda r: (abs(r), r < 0)))
+    return found
+
+
+@pytest.mark.parametrize("coeffs", DIAGONAL_FORMS)
+def test_represent_general_form_diagonal_matches_box_scan(coeffs):
+    form = BinaryForm(coeffs)
+    targets = range(-60, 61)
+    expected = _box_scan(form, targets, 40)
+    for target in targets:
+        assert represent_general_form(form, target, 40) == expected.get(target), (
+            coeffs, target,
+        )
+
+
+def test_represent_general_form_one_y_polynomial_per_diagonal_search(monkeypatch):
+    seen = []
+
+    def counting_root(poly, target):
+        seen.append(poly)
+        return integer_root(poly, target)
+
+    monkeypatch.setattr(solver, "integer_root", counting_root)
+    # x^3 + 2y^3 = 4 has no solution with |x| <= 25: every slice is solved
+    assert represent_general_form(BinaryForm((1, 0, 0, 2)), 4, 25) is None
+    assert len(seen) == 51
+    assert all(poly is seen[0] for poly in seen)
+    assert seen[0].coeffs == (2, 0, 0, 0)
+
+
+def test_represent_general_form_x_only_form_keeps_per_slice_path(monkeypatch):
+    # (1, 0, 0) is x^2: its y^2 coefficient is 0, so each slice is the
+    # constant sx^2 and no slice reaches integer_root
+    calls = []
+    monkeypatch.setattr(
+        solver, "integer_root", lambda poly, t: calls.append(t) or []
+    )
+    form = BinaryForm((1, 0, 0))
+    for target in range(-60, 61):
+        r = math.isqrt(target) if target > 0 else None
+        expected = (0, 0) if target == 0 else (r, 0) if r and r * r == target else None
+        assert represent_general_form(form, target, 40) == expected, target
+    assert calls == []
 
 
 def test_represent_definite_quadratic_vs_naive():
