@@ -10,12 +10,15 @@ Six subcommands on one executable:
   reproduce     rerun a named preset and diff against its expected outcome
   recheck       revalidate a stored certificate file from scratch
 
-Conventions shared by all subcommands: options may come from an INI file
-(--config, section [factcert]) with command-line flags winning; the resolved
-configuration is hashed (sha256) and the hash is embedded in every output, so
-two artifacts with equal hashes were built from identical settings.  Exit
-status is 0 when the requested work completed with nothing left open, 1 on
-input errors, and 2 when unknowns or mismatches remain.
+search, certify, obstruct-scan and bounds also read options from an INI file
+(--config, section [factcert]) whose keys are the options' dest names (n_max,
+prime_budget, include_diagonal = yes), not their flag spellings; a flag beats
+the file and the file beats the flag's default.  These four hash the resolved
+options (sha256) and embed the hash in every output, so two artifacts with
+equal hashes were built from identical settings; reproduce hashes its preset
+name and recheck prints no hash.  Every subcommand exits 0 when the requested
+work completed with nothing left open, 1 on input errors, and 2 when unknowns
+or mismatches remain.
 
 Targets are written in a compressed token grammar ("x2+y2", "x^2-1",
 "3x2-2xy+y2", rational coefficients like "1/2x2" allowed) up to degree 4;
@@ -105,7 +108,10 @@ def _parse_term(body: str) -> tuple[Fraction, int, int]:
     coeff_s, xe, ye = m.group("coeff"), m.group("xe"), m.group("ye")
     if coeff_s is None and "x" not in body and "y" not in body:
         raise CLIInputError(f"cannot parse term {body!r}")
-    coeff = Fraction(coeff_s) if coeff_s else Fraction(1)
+    try:
+        coeff = Fraction(coeff_s) if coeff_s else Fraction(1)
+    except ZeroDivisionError:
+        raise CLIInputError(f"zero denominator in term {body!r}") from None
     # bare "x" means exponent 1; "x2" and "x^2" both mean exponent 2
     i = (1 if xe is None else int(xe)) if "x" in body else 0
     j = (1 if ye is None else int(ye)) if "y" in body else 0
@@ -169,101 +175,22 @@ def _parse_coeff_list(text: str) -> list[Fraction]:
 # Configuration resolution and hashing
 # ---------------------------------------------------------------------------
 
-# defaults per resolvable key; None marks "unset"
-_DEFAULTS: dict[str, object] = {
-    "family": "sum",
-    "a": 1,
-    "b": 1,
-    "form": None,
-    "poly": None,
-    "kind": None,
-    "coeffs": None,
-    "n_max": None,
-    "m_min": 1,
-    "m_max": None,
-    "prod_bounds": None,
-    "single_factorial": False,
-    "include_diagonal": False,
-    "range_override": False,
-    "prime_budget": solver_mod.DEFAULT_PRIME_BUDGET,
-    "ball_cap": solver_mod.DEFAULT_BALL_CAP,
-    "rho_steps": solver_mod.DEFAULT_RHO_STEPS,
-    "workers": 1,
-    "checkpoint": None,
-    "out": None,
-    "n": None,
-    "m": None,
-    "dfact": None,
-    "lo": None,
-    "hi": None,
-    "stirling": None,
-    "radical": None,
-    "epsilon": None,
-    "k_epsilon": None,
-    "multiplier": 1,
-}
-
-_INT_KEYS = {
-    "a", "b", "n_max", "m_min", "m_max", "prime_budget", "ball_cap",
-    "rho_steps", "workers", "n", "m", "lo", "hi",
-    "radical", "multiplier",
-}
-_BOOL_KEYS = {"single_factorial", "include_diagonal", "range_override"}
-_LIST_KEYS = {"prod_bounds", "dfact"}
+# namespace entries that steer parsing rather than the run
+_PARSER_KEYS = {"command", "func", "config"}
 
 
-def _coerce_ini(key: str, raw: str):
-    raw = raw.strip()
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise CLIInputError(f"config key {key}: not a boolean: {raw!r}")
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise CLIInputError(f"config key {key}: not an integer: {raw!r}") from None
-    if key in _LIST_KEYS:
-        return _parse_int_list(raw, key)
-    return raw
-
-
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p.strip()) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise CLIInputError(f"{what}: not a comma list of integers: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"not a comma list of integers: {text!r}"
+        ) from None
 
 
-def resolve_config(args: argparse.Namespace, keys: list[str]) -> dict[str, object]:
-    """defaults <- INI file <- explicit flags, restricted to keys."""
-    file_vals: dict[str, str] = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        parser = configparser.ConfigParser()
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                parser.read_file(fh)
-        except OSError as exc:
-            raise CLIInputError(f"cannot read config file: {exc}") from None
-        except configparser.Error as exc:
-            raise CLIInputError(f"bad config file: {exc}") from None
-        section = "factcert" if parser.has_section("factcert") else parser.default_section
-        file_vals = dict(parser.items(section))
-    resolved: dict[str, object] = {}
-    for key in keys:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            if key in _LIST_KEYS and isinstance(flag_val, str):
-                flag_val = _parse_int_list(flag_val, key)
-            resolved[key] = flag_val
-        elif key in file_vals:
-            resolved[key] = _coerce_ini(key, file_vals[key])
-        else:
-            resolved[key] = _DEFAULTS[key]
-    return resolved
+def resolve_config(args: argparse.Namespace) -> dict[str, object]:
+    """The options a subcommand runs with, as parse_args resolved them."""
+    return {k: v for k, v in vars(args).items() if k not in _PARSER_KEYS}
 
 
 def _canon(value) -> str:
@@ -297,8 +224,7 @@ def config_hash(resolved: dict[str, object]) -> str:
 
 def _target_spec(cfg: dict) -> tuple[str, list[Fraction], str | None]:
     """(kind, coefficients, bundled-name) from whichever target flag is set."""
-    form_tok, poly_tok, coeffs = cfg.get("form"), cfg.get("poly"), cfg.get("coeffs")
-    kind_flag = cfg.get("kind")
+    form_tok, poly_tok, coeffs = cfg["form"], cfg["poly"], cfg["coeffs"]
     given = sum(x is not None for x in (form_tok, poly_tok, coeffs))
     if given != 1:
         raise CLIInputError(
@@ -306,10 +232,9 @@ def _target_spec(cfg: dict) -> tuple[str, list[Fraction], str | None]:
             "or --kind {form,poly} with --coeffs LIST"
         )
     if coeffs is not None:
-        if kind_flag not in ("form", "poly"):
+        if cfg["kind"] not in ("form", "poly"):
             raise CLIInputError("--coeffs needs --kind form or --kind poly")
-        parsed = coeffs if isinstance(coeffs, list) else _parse_coeff_list(coeffs)
-        return kind_flag, parsed, None
+        return cfg["kind"], _parse_coeff_list(coeffs), None
     if form_tok is not None:
         token = form_tok.replace(" ", "").lower()
         return "form", parse_form_token(form_tok), token
@@ -317,11 +242,11 @@ def _target_spec(cfg: dict) -> tuple[str, list[Fraction], str | None]:
 
 
 def build_equation(cfg: dict) -> certify_mod.Equation:
-    family = str(cfg.get("family", "sum")).lower()
+    family = cfg["family"].lower()
     if family not in ("sum", "prod"):
         raise CLIInputError(f"unknown family {family!r}; use sum or prod")
     target, mult = _bare_target(cfg)
-    a, b = int(cfg.get("a", 1)), int(cfg.get("b", 1))
+    a, b = cfg["a"], cfg["b"]
     binary = isinstance(target, forms_mod.BinaryForm)
     Family = certify_mod.Family
     if family == "sum":
@@ -330,17 +255,14 @@ def build_equation(cfg: dict) -> certify_mod.Equation:
     else:
         fam = Family.PROD_DFACT_BINARY if binary else Family.PROD_DFACT_UNI
         a = 1  # product families have no a
-    try:
-        return certify_mod.Equation(
-            family=fam,
-            a=a,
-            b=b * mult,
-            form=target if binary else None,
-            poly=None if binary else target,
-            scaling=mult,
-        )
-    except ValueError as exc:
-        raise CLIInputError(str(exc)) from None
+    return certify_mod.Equation(
+        family=fam,
+        a=a,
+        b=b * mult,
+        form=target if binary else None,
+        poly=None if binary else target,
+        scaling=mult,
+    )
 
 
 def _bare_target(cfg: dict):
@@ -349,12 +271,9 @@ def _bare_target(cfg: dict):
     if kind == "form" and bundle_key in forms_mod.BUNDLED_FORMS:
         return forms_mod.BUNDLED_FORMS[bundle_key], 1
     ints, mult = forms_mod.clear_denominators(coeffs)
-    try:
-        if kind == "form":
-            return forms_mod.BinaryForm(ints), mult
-        return forms_mod.UnivariatePoly(ints), mult
-    except ValueError as exc:
-        raise CLIInputError(str(exc)) from None
+    if kind == "form":
+        return forms_mod.BinaryForm(ints), mult
+    return forms_mod.UnivariatePoly(ints), mult
 
 
 def _equation_summary(eq: certify_mod.Equation) -> dict:
@@ -468,39 +387,28 @@ def _write_search_outputs(outdir: Path, cfg_hash: str, eq, task, report) -> dict
 # Subcommands
 # ---------------------------------------------------------------------------
 
-_SEARCH_KEYS = [
-    "family", "a", "b", "form", "poly", "kind", "coeffs", "n_max", "m_min",
-    "m_max", "prod_bounds", "single_factorial", "include_diagonal",
-    "range_override", "prime_budget", "ball_cap", "rho_steps", "workers",
-    "checkpoint", "out",
-]
-
-
 def _build_search_task(cfg: dict) -> tuple[certify_mod.Equation, solver_mod.SearchTask]:
     eq = build_equation(cfg)
-    try:
-        task = solver_mod.SearchTask(
-            equation=eq,
-            n_max=cfg["n_max"],
-            m_min=cfg["m_min"],
-            m_max=cfg["m_max"],
-            prod_bounds=cfg["prod_bounds"],
-            single_factorial=bool(cfg["single_factorial"]),
-            include_diagonal=bool(cfg["include_diagonal"]),
-            range_override=bool(cfg["range_override"]),
-            prime_budget=cfg["prime_budget"],
-            ball_cap=cfg["ball_cap"],
-            rho_steps=cfg["rho_steps"],
-            checkpoint_path=cfg["checkpoint"],
-            workers=cfg["workers"],
-        )
-    except ValueError as exc:
-        raise CLIInputError(str(exc)) from None
+    task = solver_mod.SearchTask(
+        equation=eq,
+        n_max=cfg["n_max"],
+        m_min=cfg["m_min"],
+        m_max=cfg["m_max"],
+        prod_bounds=cfg["prod_bounds"],
+        single_factorial=cfg["single_factorial"],
+        include_diagonal=cfg["include_diagonal"],
+        range_override=cfg["range_override"],
+        prime_budget=cfg["prime_budget"],
+        ball_cap=cfg["ball_cap"],
+        rho_steps=cfg["rho_steps"],
+        checkpoint_path=cfg["checkpoint"],
+        workers=cfg["workers"],
+    )
     return eq, task
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args, _SEARCH_KEYS)
+    cfg = resolve_config(args)
     cfg_hash = config_hash(cfg)
     eq, task = _build_search_task(cfg)
     report = solver_mod.run_search(task)
@@ -528,14 +436,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK if totals["UNKNOWN"] == 0 else EXIT_OPEN
 
 
-_CERTIFY_KEYS = [
-    "family", "a", "b", "form", "poly", "kind", "coeffs", "n", "m", "dfact",
-    "prime_budget", "rho_steps", "out",
-]
-
-
 def cmd_certify(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args, _CERTIFY_KEYS)
+    cfg = resolve_config(args)
     cfg_hash = config_hash(cfg)
     eq = build_equation(cfg)
     if eq.is_sum:
@@ -545,16 +447,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
     else:
         if cfg["dfact"] is None:
             raise CLIInputError("product cells need --dfact N1,N2,...")
-        cell = tuple(cfg["dfact"])
-    try:
-        cert = certify_mod.certify_cell(
-            eq,
-            cell,
-            prime_budget=cfg["prime_budget"],
-            rho_steps=cfg["rho_steps"],
-        )
-    except ValueError as exc:  # ZeroLeftSideError among them
-        raise CLIInputError(str(exc)) from None
+        cell = cfg["dfact"]
+    cert = certify_mod.certify_cell(
+        eq,
+        cell,
+        prime_budget=cfg["prime_budget"],
+        rho_steps=cfg["rho_steps"],
+    )
     if cert is None:
         print(f"# config {cfg_hash}", file=sys.stderr)
         print(f"no certificate within budget at cell {cell}", file=sys.stderr)
@@ -568,20 +467,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SCAN_KEYS = ["form", "poly", "kind", "coeffs", "lo", "hi"]
-
-
 def cmd_obstruct_scan(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args, _SCAN_KEYS)
+    cfg = resolve_config(args)
     cfg_hash = config_hash(cfg)
     if cfg["lo"] is None or cfg["hi"] is None:
         raise CLIInputError("obstruct-scan needs --from and --to")
     lo, hi = cfg["lo"], cfg["hi"]
     target, mult = _bare_target(cfg)
-    try:
-        scan = obstruction_mod.scan_obstruction_primes(target, lo, hi)
-    except ValueError as exc:
-        raise CLIInputError(str(exc)) from None
+    scan = obstruction_mod.scan_obstruction_primes(target, lo, hi)
     print(f"# config {cfg_hash}")
     if mult != 1:
         print(f"# denominators cleared: target scaled by {mult}")
@@ -595,12 +488,6 @@ def cmd_obstruct_scan(args: argparse.Namespace) -> int:
         f"primes in [{lo}, {hi}]  density {scan.density:.3f}"
     )
     return EXIT_OK
-
-
-_BOUNDS_KEYS = [
-    "stirling", "radical", "form", "poly", "kind", "coeffs", "epsilon",
-    "k_epsilon", "multiplier",
-]
 
 
 def _parse_stirling(text: str) -> bounds_mod.StirlingInequality:
@@ -617,20 +504,17 @@ def _parse_stirling(text: str) -> bounds_mod.StirlingInequality:
         raise CLIInputError("--stirling: prefactor E must be positive")
     # zero means "absent": B=0 selects the single-variable inequality
     kind = bounds_mod.StirlingKind.DOUBLE if b_ > 0 else bounds_mod.StirlingKind.SINGLE
-    try:
-        return bounds_mod.StirlingInequality(
-            kind=kind,
-            a=a_,
-            b=b_ if b_ > 0 else None,
-            c=c_ if c_ > 0 else None,
-            e=e_,
-        )
-    except ValueError as exc:
-        raise CLIInputError(str(exc)) from None
+    return bounds_mod.StirlingInequality(
+        kind=kind,
+        a=a_,
+        b=b_ if b_ > 0 else None,
+        c=c_ if c_ > 0 else None,
+        e=e_,
+    )
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args, _BOUNDS_KEYS)
+    cfg = resolve_config(args)
     cfg_hash = config_hash(cfg)
     chosen = sum(
         x is not None
@@ -692,13 +576,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         eps = Fraction(cfg["epsilon"]) if cfg["epsilon"] is not None else None
     except (ValueError, ZeroDivisionError):
         raise CLIInputError(f"bad --epsilon value {cfg['epsilon']!r}") from None
-    try:
-        params = bounds_mod.AbcParams(
-            epsilon=eps,
-            k_epsilon=float(cfg["k_epsilon"]) if cfg["k_epsilon"] is not None else 1.0,
-        )
-    except ValueError as exc:
-        raise CLIInputError(str(exc)) from None
+    params = bounds_mod.AbcParams(
+        epsilon=eps,
+        k_epsilon=float(cfg["k_epsilon"]) if cfg["k_epsilon"] is not None else 1.0,
+    )
     multiplier = cfg["multiplier"] * mult
     try:
         report = bounds_mod.conditional_bound_pipeline(
@@ -718,8 +599,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2))
         return EXIT_OK
-    except ValueError as exc:
-        raise CLIInputError(str(exc)) from None
     print(json.dumps({"config": cfg_hash, "bound_report": report.to_dict()}, indent=2))
     return EXIT_OK
 
@@ -842,6 +721,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _add_equation_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", choices=("sum", "prod"), default="sum")
+    p.add_argument("--a", type=int, default=1)
+    p.add_argument("--b", type=int, default=1)
+    _add_target_flags(p)
+
+
 def _add_target_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--form", help="binary form token, e.g. x2+y2")
     p.add_argument("--poly", help="univariate token, e.g. x^2-1")
@@ -852,68 +738,68 @@ def _add_target_flags(p: argparse.ArgumentParser) -> None:
                         "(required for degree 5 and above)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_CONFIG_HELP = "INI file, section [factcert]; keys are dest names like n_max"
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the subcommand parsers that take --config."""
     top = _Parser(prog="factcert", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     ps = sub.add_parser("search", help="classify every cell in a range")
-    ps.add_argument("--config", help="INI file, section [factcert]")
-    ps.add_argument("--family", choices=("sum", "prod"))
-    ps.add_argument("--a", type=int)
-    ps.add_argument("--b", type=int)
-    _add_target_flags(ps)
+    ps.add_argument("--config", help=_CONFIG_HELP)
+    _add_equation_flags(ps)
     ps.add_argument("--nmax", dest="n_max", type=int)
-    ps.add_argument("--mmin", dest="m_min", type=int)
+    ps.add_argument("--mmin", dest="m_min", type=int, default=1)
     ps.add_argument("--mmax", dest="m_max", type=int)
-    ps.add_argument("--prod-bounds", dest="prod_bounds",
+    ps.add_argument("--prod-bounds", type=_int_list,
                     help="comma list of per-argument caps, e.g. 100 or 60,60")
-    ps.add_argument("--single-factorial", dest="single_factorial",
-                    action=argparse.BooleanOptionalAction, default=None)
-    ps.add_argument("--include-diagonal", dest="include_diagonal",
-                    action=argparse.BooleanOptionalAction, default=None)
-    ps.add_argument("--range-override", dest="range_override",
-                    action=argparse.BooleanOptionalAction, default=None)
-    ps.add_argument("--prime-budget", dest="prime_budget", type=int)
-    ps.add_argument("--ball-cap", dest="ball_cap", type=int)
-    ps.add_argument("--rho-steps", dest="rho_steps", type=int)
-    ps.add_argument("--workers", type=int)
+    ps.add_argument("--single-factorial",
+                    action=argparse.BooleanOptionalAction, default=False)
+    ps.add_argument("--include-diagonal",
+                    action=argparse.BooleanOptionalAction, default=False)
+    ps.add_argument("--range-override",
+                    action=argparse.BooleanOptionalAction, default=False)
+    ps.add_argument("--prime-budget", type=int,
+                    default=solver_mod.DEFAULT_PRIME_BUDGET)
+    ps.add_argument("--ball-cap", type=int, default=solver_mod.DEFAULT_BALL_CAP)
+    ps.add_argument("--rho-steps", type=int, default=solver_mod.DEFAULT_RHO_STEPS)
+    ps.add_argument("--workers", type=int, default=1)
     ps.add_argument("--checkpoint", help="checkpoint file (JSON lines, resumable)")
     ps.add_argument("--out", help="output directory (default runs/<hash12>)")
     ps.set_defaults(func=cmd_search)
 
     pc = sub.add_parser("certify", help="one-cell divisibility certificate")
-    pc.add_argument("--config", help="INI file, section [factcert]")
-    pc.add_argument("--family", choices=("sum", "prod"))
-    pc.add_argument("--a", type=int)
-    pc.add_argument("--b", type=int)
-    _add_target_flags(pc)
+    pc.add_argument("--config", help=_CONFIG_HELP)
+    _add_equation_flags(pc)
     pc.add_argument("--n", type=int, help="sum cell: factorial argument n")
     pc.add_argument("--m", type=int, help="sum cell: factorial argument m")
-    pc.add_argument("--dfact", help="product cell: comma list of !! arguments")
-    pc.add_argument("--prime-budget", dest="prime_budget", type=int)
-    pc.add_argument("--rho-steps", dest="rho_steps", type=int)
+    pc.add_argument("--dfact", type=_int_list,
+                    help="product cell: comma list of !! arguments")
+    pc.add_argument("--prime-budget", type=int,
+                    default=solver_mod.DEFAULT_PRIME_BUDGET)
+    pc.add_argument("--rho-steps", type=int, default=solver_mod.DEFAULT_RHO_STEPS)
     pc.add_argument("--out", help="also write the JSON here")
     pc.set_defaults(func=cmd_certify)
 
     po = sub.add_parser("obstruct-scan", help="eligible primes in a range")
-    po.add_argument("--config", help="INI file, section [factcert]")
+    po.add_argument("--config", help=_CONFIG_HELP)
     _add_target_flags(po)
     po.add_argument("--from", dest="lo", type=int, help="scan start (prime range)")
     po.add_argument("--to", dest="hi", type=int, help="scan end, inclusive")
     po.set_defaults(func=cmd_obstruct_scan)
 
     pb = sub.add_parser("bounds", help="numeric bound extraction")
-    pb.add_argument("--config", help="INI file, section [factcert]")
+    pb.add_argument("--config", help=_CONFIG_HELP)
     pb.add_argument("--stirling",
                     help="A,B,C,E crossing solve; B=0 or C=0 mean absent")
     pb.add_argument("--radical", type=int,
                     help="radical-vs-envelope check at this double-factorial index")
     _add_target_flags(pb)
     pb.add_argument("--epsilon", help="rational like 1/4; default 1/(2 degree)")
-    pb.add_argument("--k-epsilon", dest="k_epsilon",
-                    help="conditional constant K(eps) (default 1.0)")
-    pb.add_argument("--multiplier", type=int,
-                    help="scalar multiplier on the right side (default 1)")
+    pb.add_argument("--k-epsilon", help="conditional constant K(eps) (default 1.0)")
+    pb.add_argument("--multiplier", type=int, default=1,
+                    help="scalar multiplier on the right side (default %(default)s)")
     pb.set_defaults(func=cmd_bounds)
 
     pr = sub.add_parser("reproduce", help="rerun a preset and diff the outcome")
@@ -929,17 +815,62 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also brute-force forced exponents where affordable")
     pk.set_defaults(func=cmd_recheck)
 
-    return top
+    readers = ("search", "certify", "obstruct-scan", "bounds")
+    return top, {name: sub.choices[name] for name in readers}
+
+
+def _read_ini(path: str) -> dict[str, str]:
+    ini = configparser.ConfigParser()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            ini.read_file(fh)
+        section = "factcert" if ini.has_section("factcert") else ini.default_section
+        return dict(ini.items(section))
+    except OSError as exc:
+        raise CLIInputError(f"cannot read config file: {exc}") from None
+    except configparser.Error as exc:
+        raise CLIInputError(f"bad config file: {exc}") from None
+
+
+def _ini_bool(key: str, raw: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES  # 1/0, yes/no, true/false, on/off
+    if raw.lower() not in states:
+        raise CLIInputError(f"config key {key}: not a boolean: {raw!r}")
+    return states[raw.lower()]
+
+
+def _option_names(command: argparse.ArgumentParser) -> set[str]:
+    """Dest names of a subcommand's options: its namespace when no flag is given."""
+    return set(vars(command.parse_args([]))) - _PARSER_KEYS
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse argv.  A --config file's values become the subcommand's defaults,
+    so a flag beats the file and the file beats the default on the flag;
+    argparse checks a file value with the flag's type, as if it were typed."""
+    top, readers = build_parser()
+    args = top.parse_args(argv)
+    if not getattr(args, "config", None):
+        return args
+    values = _read_ini(args.config)
+    known = set().union(*map(_option_names, readers.values()))
+    for key in values:
+        if key not in known:
+            raise CLIInputError(f"config key {key}: no such option")
+    command = readers[args.command]
+    own = _option_names(command)  # the section is shared: skip others' keys
+    command.set_defaults(**{
+        key: _ini_bool(key, raw) if isinstance(command.get_default(key), bool) else raw
+        for key, raw in values.items()
+        if key in own
+    })
+    return top.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         return args.func(args)
-    except CLIInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BrokenPipeError:
         # downstream pager closed early; nothing left to report
         try:
@@ -947,7 +878,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError:
             pass
         return EXIT_OK
-    except (ValueError, OSError, SieveBudgetError) as exc:
+    except (ValueError, OSError, SieveBudgetError) as exc:  # CLIInputError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except KeyboardInterrupt:

@@ -217,10 +217,6 @@ class UnivariatePoly:
     def evaluate(self, x: int) -> int:
         return _eval_int(self.coeffs, x)
 
-    def derivative(self) -> "UnivariatePoly":
-        d = _derivative(self.coeffs)
-        return UnivariatePoly(d if d else (0,))
-
     def content(self) -> int:
         return _content(self.coeffs)
 

@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import os
-import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -676,20 +675,10 @@ class SearchReport:
     family: str
     results: tuple[CellResult, ...]
     totals: dict
-    elapsed: float
 
     @property
     def solutions(self) -> list[CellResult]:
         return [r for r in self.results if r.status is CellStatus.SOLUTION]
-
-    def to_dict(self) -> dict:
-        return {
-            "task_hash": self.task_hash,
-            "family": self.family,
-            "totals": dict(self.totals),
-            "elapsed_seconds": round(self.elapsed, 3),
-            "cells": [r.to_dict() for r in self.results],
-        }
 
 
 def _solve_exact(
@@ -953,7 +942,6 @@ def run_search(task: SearchTask) -> SearchReport:
     soon as it arrives in order, so a killed run loses only the cells in
     flight, and a rerun resumes after the last complete line.
     """
-    t0 = time.perf_counter()
     task_hash = task.fingerprint()
     cells = task.cells()
     done: list[CellResult] = []
@@ -990,5 +978,4 @@ def run_search(task: SearchTask) -> SearchReport:
         family=task.equation.family.value,
         results=tuple(done),
         totals=totals,
-        elapsed=time.perf_counter() - t0,
     )

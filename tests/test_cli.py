@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -57,6 +58,10 @@ def test_token_grammar_rejections():
         cli.parse_poly_token("")
     with pytest.raises(cli.CLIInputError, match="cannot parse"):
         cli.parse_form_token("x2+z2")
+    with pytest.raises(cli.CLIInputError, match="zero denominator"):
+        cli.parse_form_token("1/0x2+y2")
+    with pytest.raises(cli.CLIInputError, match="zero denominator"):
+        cli.parse_poly_token("1/0x^2")
 
 
 @pytest.mark.parametrize(
@@ -87,7 +92,8 @@ def test_token_grammar_rejections():
     ],
 )
 def test_build_equation_matches_constructors(cfg, expected):
-    assert cli.build_equation(cfg) == expected
+    defaults = cli.resolve_config(cli.parse_args(["certify"]))
+    assert cli.build_equation({**defaults, **cfg}) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +113,38 @@ def test_config_hash_ignores_output_only_keys():
     assert cli.config_hash(base) == cli.config_hash(moved)
     assert cli.config_hash(dict(base, nmax=31)) != cli.config_hash(base)
     assert cli.config_hash(dict(base, prime_budget=26)) != cli.config_hash(base)
+
+
+_PINNED_INI = "[factcert]\nn_max = 14\ninclude_diagonal = yes\nprime_budget = 50\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["search", "--form", "x2+y2", "--nmax", "12",
+          "--checkpoint", "{tmp}/ck.jsonl", "--out", "{tmp}/out"],
+         "c6bc32cf9c59fec5d9a6a10f4dd273a7756532f780e8b3621c93462f5ec5abf9"),
+        (["search", "--family", "prod", "--form", "x2+y2", "--prod-bounds", "15,15",
+          "--out", "{tmp}/out"],
+         "c077c95ce3e84274663d6a74d22dd074b0749d038819de700a91dcec93b7e7f4"),
+        (["search", "--config", "{tmp}/run.ini", "--poly", "x^2", "--out", "{tmp}/out"],
+         "02122bb3bf8398a648e469418343ff33565da0000fff00e569b008a5f9aae7dc"),
+        (["certify", "--form", "x2+y2", "--n", "10", "--m", "7"],
+         "f3a7102d4346c7d922d10f977f7896104edd7d4dbec061972409d4cdff1468df"),
+        (["obstruct-scan", "--form", "x2+y2", "--from", "3", "--to", "50"],
+         "1d6ac84ad7507093c0a501425a39aabc5d86d5db8a50eb5ef397056c48938b29"),
+        (["bounds", "--stirling", "5,0,0,1"],
+         "eac4c66ab9dbe54d106295b25d4b9d6b9ea7f8d845275e0c786691d62d84ff0b"),
+        (["bounds", "--poly", "x^2-1", "--epsilon", "1/4"],
+         "ca83c7faa090df0418c48a9347fa65d963baaba89e638d43b66c68a575557fc0"),
+    ],
+)
+def test_config_hashes_are_pinned(argv, digest, tmp_path, capsys):
+    # the hash names the result bytes, so moving it orphans every stored run
+    (tmp_path / "run.ini").write_text(_PINNED_INI)
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert code == cli.EXIT_OK, err
+    assert re.search(r"[0-9a-f]{64}", out).group(0) == digest
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +270,8 @@ def test_search_input_errors_exit_one(tmp_path, capsys):
         ["search", "--form", "x2+y2", "--nmax", "6", "--rho-steps", "-5"],
         ["search", "--form", "x2+y2", "--nmax", "6", "--mmin", "5", "--mmax", "3"],
         ["certify", "--form", "x2+y2", "--n", "6", "--m", "2", "--rho-steps", "-1"],
+        ["search", "--form", "1/0x2+y2", "--nmax", "5"],
+        ["search", "--poly", "1/0x^2", "--nmax", "5"],
     ],
 )
 def test_out_of_range_budgets_and_ranges_exit_one(argv, tmp_path, capsys):
@@ -351,6 +391,60 @@ def test_config_file_resolution_and_override(tmp_path, capsys):
     summary_b = json.loads((out_b / "summary.json").read_text())
     assert summary_b["cells"] == 45  # explicit flag beats the file
     assert summary_a["config"] != summary_b["config"]
+
+
+def _resolved(argv):
+    return cli.resolve_config(cli.parse_args(argv))
+
+
+def test_config_file_values_of_each_kind(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[factcert]\nform = x2+y2\nn_max = 14\ninclude_diagonal = yes\n"
+        "prod_bounds = 12, 12\nlo = 3\n"  # lo is obstruct-scan's: accepted, unused
+    )
+    from_file = _resolved(["search", "--config", str(ini)])
+    assert from_file["form"] == "x2+y2"
+    assert from_file["n_max"] == 14
+    assert from_file["include_diagonal"] is True
+    assert from_file["prod_bounds"] == (12, 12)
+    assert "lo" not in from_file
+    assert from_file["prime_budget"] == cli.solver_mod.DEFAULT_PRIME_BUDGET
+    spelled_out = _resolved(["search", "--form", "x2+y2", "--nmax", "14",
+                             "--include-diagonal", "--prod-bounds", "12,12"])
+    assert cli.config_hash(from_file) == cli.config_hash(spelled_out)
+
+    flags = _resolved(["search", "--config", str(ini), "--nmax", "10",
+                       "--no-include-diagonal", "--prod-bounds", "9"])
+    assert (flags["n_max"], flags["include_diagonal"], flags["prod_bounds"]) == (
+        10, False, (9,),
+    )
+    assert flags["form"] == "x2+y2"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("prime_budjet = 5", "error: config key prime_budjet: no such option"),
+        ("nmax = 14", "error: config key nmax: no such option"),
+        ("n_max = 1x", "argument --nmax: invalid int value: '1x'"),
+        ("include_diagonal = maybe", "config key include_diagonal: not a boolean"),
+        ("prod_bounds = 1,x", "argument --prod-bounds: not a comma list of integers"),
+        ("epsilon = 50%", "bad config file"),
+    ],
+)
+def test_bad_config_file_exits_one(line, message, tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[factcert]\nform = x2+y2\n{line}\n")
+    out = tmp_path / "out"
+    try:
+        code = cli.main(["search", "--config", str(ini), "--out", str(out)])
+    except SystemExit as exc:  # argparse reports a value its type rejects
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INPUT
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
