@@ -44,14 +44,6 @@ class PrimeTable:
         return list(self.primes[i:j])
 
 
-@dataclass(frozen=True)
-class FactorizationSketch:
-    """Sign and prime -> exponent map; exponents are always exact."""
-
-    sign: int
-    exponents: dict[int, int]
-
-
 def sieve(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
     """Eratosthenes table of all primes <= limit."""
     if limit < 2:
@@ -247,14 +239,14 @@ def _factor(
     return dict(sorted(exps.items())), sorted(leftovers)
 
 
-def factor(a: int) -> FactorizationSketch:
-    """Full factorization of a nonzero integer.
+def factor(a: int) -> dict[int, int]:
+    """Full factorization of a nonzero integer: prime -> exponent of abs(a).
 
     Trial division by sieved primes, then Pollard-Brent without a step
     budget on the remaining cofactors.  Every reported prime passes is_prime.
     """
     exps, _ = _factor(a, math.inf)
-    return FactorizationSketch(sign=-1 if a < 0 else 1, exponents=exps)
+    return exps
 
 
 def partial_factor(
@@ -282,7 +274,7 @@ def radical(a: int) -> int:
     """Product of the distinct primes dividing a; radical(1) == 1."""
     if a == 0:
         raise ValueError("radical of 0 is undefined")
-    return math.prod(factor(a).exponents.keys()) if abs(a) > 1 else 1
+    return math.prod(factor(a).keys()) if abs(a) > 1 else 1
 
 
 # ---------------------------------------------------------------------------

@@ -369,8 +369,8 @@ class AbcParams:
             object.__setattr__(self, "epsilon", Fraction(self.epsilon))
             if self.epsilon <= 0:
                 raise ValueError("epsilon must be positive")
-        if not self.k_epsilon > 0:
-            raise ValueError("K(epsilon) must be positive")
+        if not 0 < self.k_epsilon < math.inf:
+            raise ValueError("K(epsilon) must be positive and finite")
 
 
 @dataclass(frozen=True)

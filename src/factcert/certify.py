@@ -12,8 +12,9 @@ rules cover all eligible primes:
                   of the linear-factor multiplicity e (below the total
                   degree, for binary targets), so v % e != 0 certifies.
 
-Certificates are plain data: rechecking one recomputes the valuation and the
-eligibility profile from scratch and re-evaluates the rule.
+A certificate holds the Equation it is about plus plain data (cell, prime,
+valuation, forced exponent, rule): rechecking one recomputes the valuation
+and the eligibility profile from scratch and re-evaluates the rule.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 
 from . import arith, obstruction, valuation
 from .forms import BinaryForm, UnivariatePoly, clear_denominators
-from .obstruction import REASON_LINEAR_MULTIPLICITY, REASON_NO_ROOT
+from .obstruction import REASON_NO_ROOT
 from .valuation import _cofactor_is_zero
 
 CHECKER_VERSION = "1.0"
@@ -67,16 +68,17 @@ class Equation:
 
     Sum families read  a*n! + b*m! = target(...)  over cells (n, m) with
     n >= m >= 0; product families read  b * n1!! * ... * nr!! = target(...)
-    over tuples of double-factorial arguments.  scaling records the factor
-    both sides were multiplied by to clear rational target coefficients, so
-    reports can refer back to the original statement.
+    over tuples of double-factorial arguments.  target is a BinaryForm for
+    the binary families and a UnivariatePoly for the univariate ones.
+    scaling records the factor both sides were multiplied by to clear
+    rational target coefficients, so reports can refer back to the original
+    statement.
     """
 
     family: Family
+    target: BinaryForm | UnivariatePoly
     a: int = 1
     b: int = 1
-    form: BinaryForm | None = None
-    poly: UnivariatePoly | None = None
     scaling: int = 1
 
     def __post_init__(self):
@@ -88,12 +90,9 @@ class Equation:
                 raise ValueError("product family needs nonzero b")
             if self.a != 1:
                 raise ValueError("product family does not use a; leave it at 1")
-        if self.family.is_binary:
-            if self.form is None or self.poly is not None:
-                raise ValueError("binary family needs form set and poly unset")
-        else:
-            if self.poly is None or self.form is not None:
-                raise ValueError("univariate family needs poly set and form unset")
+        kind = BinaryForm if self.family.is_binary else UnivariatePoly
+        if not isinstance(self.target, kind):
+            raise ValueError(f"{self.family.value} needs a {kind.__name__} target")
         if self.scaling < 1:
             raise ValueError("scaling must be a positive integer")
 
@@ -101,51 +100,29 @@ class Equation:
     def is_sum(self) -> bool:
         return self.family.is_sum
 
-    @property
-    def target(self) -> BinaryForm | UnivariatePoly:
-        return self.form if self.form is not None else self.poly
-
     @classmethod
     def sum_binary(cls, a: int, b: int, coeffs, **form_kwargs) -> "Equation":
         ints, mult = clear_denominators(coeffs)
-        return cls(
-            family=Family.SUM_FACT_BINARY,
-            a=a * mult,
-            b=b * mult,
-            form=BinaryForm(ints, **form_kwargs),
-            scaling=mult,
-        )
+        target = BinaryForm(ints, **form_kwargs)
+        return cls(Family.SUM_FACT_BINARY, target, a * mult, b * mult, mult)
 
     @classmethod
     def sum_univariate(cls, a: int, b: int, coeffs) -> "Equation":
         ints, mult = clear_denominators(coeffs)
-        return cls(
-            family=Family.SUM_FACT_UNI,
-            a=a * mult,
-            b=b * mult,
-            poly=UnivariatePoly(ints),
-            scaling=mult,
-        )
+        target = UnivariatePoly(ints)
+        return cls(Family.SUM_FACT_UNI, target, a * mult, b * mult, mult)
 
     @classmethod
     def product_binary(cls, b: int, coeffs, **form_kwargs) -> "Equation":
         ints, mult = clear_denominators(coeffs)
-        return cls(
-            family=Family.PROD_DFACT_BINARY,
-            b=b * mult,
-            form=BinaryForm(ints, **form_kwargs),
-            scaling=mult,
-        )
+        target = BinaryForm(ints, **form_kwargs)
+        return cls(Family.PROD_DFACT_BINARY, target, 1, b * mult, mult)
 
     @classmethod
     def product_univariate(cls, b: int, coeffs) -> "Equation":
         ints, mult = clear_denominators(coeffs)
-        return cls(
-            family=Family.PROD_DFACT_UNI,
-            b=b * mult,
-            poly=UnivariatePoly(ints),
-            scaling=mult,
-        )
+        target = UnivariatePoly(ints)
+        return cls(Family.PROD_DFACT_UNI, target, 1, b * mult, mult)
 
     def normalize_cell(self, cell: Sequence[int]) -> tuple[int, ...]:
         out = tuple(int(c) for c in cell)
@@ -192,73 +169,44 @@ def left_valuation(eq: Equation, cell: Sequence[int], q: int) -> int:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Self-contained non-representability witness for one cell."""
+    """Self-contained non-representability witness for one cell of its equation.
 
-    family: Family
-    a: int
-    b: int
+    to_dict spells the equation out (family, A/B or b, form_coeffs, scaling,
+    and a binary target's declared factor list or irreducibility).
+    """
+
+    equation: Equation
     cell: tuple[int, ...]
-    form_coeffs: tuple[int, ...]
-    scaling: int
     prime: int
     valuation: int
     forced_exponent: int | None
     rule: str
     checker_version: str = CHECKER_VERSION
-    factor_list: tuple[tuple[tuple[int, ...], int], ...] | None = None
-    factor_constant: int | None = None
-    irreducible_declared: bool = False
     notes: tuple[str, ...] = ()
-
-    def equation(self) -> Equation:
-        if self.family.is_binary:
-            factors = None
-            if self.factor_list is not None:
-                factors = tuple(
-                    (BinaryForm(tuple(c)), int(mult)) for c, mult in self.factor_list
-                )
-            form = BinaryForm(
-                self.form_coeffs,
-                factors=factors,
-                factor_constant=self.factor_constant,
-                irreducible_declared=self.irreducible_declared,
-            )
-            return Equation(
-                family=self.family,
-                a=self.a,
-                b=self.b,
-                form=form,
-                scaling=self.scaling,
-            )
-        return Equation(
-            family=self.family,
-            a=self.a,
-            b=self.b,
-            poly=UnivariatePoly(self.form_coeffs),
-            scaling=self.scaling,
-        )
 
     def to_dict(self) -> dict:
         # Field order is part of the certificate format; keep it frozen.
-        out: dict = {"family": self.family.value}
-        if self.family.is_sum:
-            out["A"] = self.a
-            out["B"] = self.b
+        eq = self.equation
+        out: dict = {"family": eq.family.value}
+        if eq.is_sum:
+            out["A"] = eq.a
+            out["B"] = eq.b
         else:
-            out["b"] = self.b
+            out["b"] = eq.b
         out["cell"] = list(self.cell)
-        out["form_coeffs"] = list(self.form_coeffs)
-        out["scaling"] = self.scaling
+        out["form_coeffs"] = list(eq.target.coeffs)
+        out["scaling"] = eq.scaling
         out["prime"] = self.prime
         out["valuation"] = self.valuation
         out["forced_exponent"] = self.forced_exponent
         out["rule"] = self.rule
         out["checker_version"] = self.checker_version
-        if self.factor_list is not None:
-            out["factor_list"] = [[list(c), m] for c, m in self.factor_list]
-            out["factor_constant"] = self.factor_constant
-        if self.irreducible_declared:
-            out["irreducible_declared"] = True
+        if isinstance(eq.target, BinaryForm):
+            if eq.target.factors is not None:
+                out["factor_list"] = [[list(f.coeffs), m] for f, m in eq.target.factors]
+                out["factor_constant"] = eq.target.factor_constant
+            if eq.target.irreducible_declared:
+                out["irreducible_declared"] = True
         if self.notes:
             out["notes"] = list(self.notes)
         return out
@@ -278,22 +226,45 @@ class Certificate:
         fc = data.get("factor_constant")
         fe = data.get("forced_exponent")
         return cls(
-            family=family,
-            a=a,
-            b=b,
+            equation=_stored_equation(
+                family,
+                a,
+                b,
+                tuple(int(c) for c in data["form_coeffs"]),
+                int(data["scaling"]),
+                factor_list,
+                None if fc is None else int(fc),
+                bool(data.get("irreducible_declared", False)),
+            ),
             cell=tuple(int(c) for c in data["cell"]),
-            form_coeffs=tuple(int(c) for c in data["form_coeffs"]),
-            scaling=int(data["scaling"]),
             prime=int(data["prime"]),
             valuation=int(data["valuation"]),
             forced_exponent=None if fe is None else int(fe),
             rule=str(data["rule"]),
             checker_version=str(data["checker_version"]),
-            factor_list=factor_list,
-            factor_constant=None if fc is None else int(fc),
-            irreducible_declared=bool(data.get("irreducible_declared", False)),
             notes=tuple(data.get("notes", ())),
         )
+
+
+# A certificate file repeats one equation on every entry, and a factored
+# BinaryForm re-verifies its factor list when built: build each one once.
+@functools.lru_cache(maxsize=16)
+def _stored_equation(family, a, b, coeffs, scaling, factor_list, factor_constant,
+                     irreducible_declared) -> Equation:
+    """The Equation a stored certificate names, from its parsed fields."""
+    if family.is_binary:
+        factors = None
+        if factor_list is not None:
+            factors = tuple((BinaryForm(c), m) for c, m in factor_list)
+        target = BinaryForm(
+            coeffs,
+            factors=factors,
+            factor_constant=factor_constant,
+            irreducible_declared=irreducible_declared,
+        )
+    else:
+        target = UnivariatePoly(coeffs)
+    return Equation(family, target, a, b, scaling)
 
 
 def _rule_outcome(profile: obstruction.ObstructionProfile, v: int) -> str | None:
@@ -310,41 +281,6 @@ def _rule_outcome(profile: obstruction.ObstructionProfile, v: int) -> str | None
     if not profile.univariate and v >= profile.total_degree:
         return None
     return RULE_NOT_MULTIPLE
-
-
-def _certificate(
-    eq: Equation,
-    cell: tuple[int, ...],
-    profile: obstruction.ObstructionProfile,
-    v: int,
-    rule: str,
-    notes: tuple[str, ...],
-) -> Certificate:
-    target = eq.target
-    factor_list = None
-    factor_constant = None
-    irreducible_declared = False
-    if isinstance(target, BinaryForm):
-        irreducible_declared = target.irreducible_declared
-        if target.factors is not None:
-            factor_list = tuple((f.coeffs, mult) for f, mult in target.factors)
-            factor_constant = target.factor_constant
-    return Certificate(
-        family=eq.family,
-        a=eq.a,
-        b=eq.b,
-        cell=cell,
-        form_coeffs=target.coeffs,
-        scaling=eq.scaling,
-        prime=profile.q,
-        valuation=v,
-        forced_exponent=profile.forced_exponent,
-        rule=rule,
-        factor_list=factor_list,
-        factor_constant=factor_constant,
-        irreducible_declared=irreducible_declared,
-        notes=notes,
-    )
 
 
 def window_primes(anchor: int) -> list[int]:
@@ -453,7 +389,7 @@ def certify_cell(
         rule = _rule_outcome(profile, v)
         if rule is None:
             return None
-        return _certificate(eq, cell, profile, v, rule, notes)
+        return Certificate(eq, cell, q, v, profile.forced_exponent, rule, notes=notes)
 
     for q in window_primes(anchor):
         cert = _attempt(q, ("window_prime",))
@@ -495,7 +431,7 @@ def certify_cell(
         # Every prime in the left side divides some n_i!! or b; the scan above
         # covered everything up to max(anchor, budget), so only large prime
         # factors of b remain.
-        for q in sorted(arith.factor(eq.b).exponents):
+        for q in sorted(arith.factor(eq.b)):
             if _try_beyond_scan(q):
                 break
     elif rho_steps > 0:
@@ -511,10 +447,11 @@ def recheck(cert: Certificate, *, deep: bool = False) -> bool:
     when the cell is small enough), rebuilds the eligibility profile, and
     re-evaluates the rule.  deep=True additionally brute-forces the forced
     exponent over residues when the prime is within the exhaustive budget.
-    Malformed data counts as failure, not as an error.
+    Malformed data counts as failure, not as an error; malformed equation
+    fields in a stored certificate already fail in Certificate.from_dict.
     """
     try:
-        eq = cert.equation()
+        eq = cert.equation
         cell = eq.normalize_cell(cert.cell)
         q = cert.prime
         if not arith.is_prime(q):

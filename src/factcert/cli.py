@@ -188,6 +188,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _rational_text(text: str) -> str:
+    """argparse type: a number's text, checked and kept as typed, since the
+    config hash reads the text ("2.50" and "2.5" are different runs)."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    return text
+
+
 def resolve_config(args: argparse.Namespace) -> dict[str, object]:
     """The options a subcommand runs with, as parse_args resolved them."""
     return {k: v for k, v in vars(args).items() if k not in _PARSER_KEYS}
@@ -246,23 +256,15 @@ def build_equation(cfg: dict) -> certify_mod.Equation:
     if family not in ("sum", "prod"):
         raise CLIInputError(f"unknown family {family!r}; use sum or prod")
     target, mult = _bare_target(cfg)
-    a, b = cfg["a"], cfg["b"]
     binary = isinstance(target, forms_mod.BinaryForm)
     Family = certify_mod.Family
     if family == "sum":
         fam = Family.SUM_FACT_BINARY if binary else Family.SUM_FACT_UNI
-        a *= mult
+        a = cfg["a"] * mult
     else:
         fam = Family.PROD_DFACT_BINARY if binary else Family.PROD_DFACT_UNI
-        a = 1  # product families have no a
-    return certify_mod.Equation(
-        family=fam,
-        a=a,
-        b=b * mult,
-        form=target if binary else None,
-        poly=None if binary else target,
-        scaling=mult,
-    )
+        a = cfg["a"]  # Equation refuses any a but 1 on a product family
+    return certify_mod.Equation(fam, target, a, cfg["b"] * mult, mult)
 
 
 def _bare_target(cfg: dict):
@@ -281,7 +283,7 @@ def _equation_summary(eq: certify_mod.Equation) -> dict:
         "family": eq.family.value,
         "a": eq.a,
         "b": eq.b,
-        "target_kind": "form" if eq.form is not None else "poly",
+        "target_kind": "form" if eq.family.is_binary else "poly",
         "coeffs": list(eq.target.coeffs),
         "scaling": eq.scaling,
     }
@@ -567,17 +569,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         print(f"margin {rb.margin:.6f}  below={str(rb.below).lower()}")
         return EXIT_OK
 
-    kind, coeffs, _ = _target_spec(cfg)
-    if kind != "poly":
+    poly, mult = _bare_target(cfg)
+    if not isinstance(poly, forms_mod.UnivariatePoly):
         raise CLIInputError("conditional bounds take a univariate polynomial")
-    ints, mult = forms_mod.clear_denominators(coeffs)
-    poly = forms_mod.UnivariatePoly(ints)
-    try:
-        eps = Fraction(cfg["epsilon"]) if cfg["epsilon"] is not None else None
-    except (ValueError, ZeroDivisionError):
-        raise CLIInputError(f"bad --epsilon value {cfg['epsilon']!r}") from None
     params = bounds_mod.AbcParams(
-        epsilon=eps,
+        epsilon=Fraction(cfg["epsilon"]) if cfg["epsilon"] is not None else None,
         k_epsilon=float(cfg["k_epsilon"]) if cfg["k_epsilon"] is not None else 1.0,
     )
     multiplier = cfg["multiplier"] * mult
@@ -585,6 +581,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         report = bounds_mod.conditional_bound_pipeline(
             poly, params, multiplier=multiplier
         )
+    except bounds_mod.BoundScanError as exc:
+        print(f"# config {cfg_hash}")
+        print(f"unresolved: {exc}")
+        return EXIT_OPEN
     except bounds_mod.MonomialTargetError as exc:
         payload = {
             "config": cfg_hash,
@@ -796,8 +796,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     pb.add_argument("--radical", type=int,
                     help="radical-vs-envelope check at this double-factorial index")
     _add_target_flags(pb)
-    pb.add_argument("--epsilon", help="rational like 1/4; default 1/(2 degree)")
-    pb.add_argument("--k-epsilon", help="conditional constant K(eps) (default 1.0)")
+    pb.add_argument("--epsilon", type=_rational_text,
+                    help="rational like 1/4; default 1/(2 degree)")
+    pb.add_argument("--k-epsilon", type=_rational_text,
+                    help="conditional constant K(eps) (default 1.0)")
     pb.add_argument("--multiplier", type=int, default=1,
                     help="scalar multiplier on the right side (default %(default)s)")
     pb.set_defaults(func=cmd_bounds)

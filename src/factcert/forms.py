@@ -445,7 +445,7 @@ def sandwich_threshold(q: UnivariatePoly) -> int:
 
 def _divisors(n: int) -> list[int]:
     out = [1]
-    for p, e in arith.factor(n).exponents.items():
+    for p, e in arith.factor(n).items():
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
 

@@ -17,7 +17,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -357,7 +357,7 @@ def definite_representations(
     n = target // k
     a, b, c = (co // k for co in form.coeffs)
     exps = dict(exponents)
-    for p, e in arith.factor(k).exponents.items():
+    for p, e in arith.factor(k).items():
         exps[p] -= e
     d = b * b - 4 * a * c
     reduced, (t11, t12, t21, t22) = _reduce_definite((a, b, c))
@@ -417,7 +417,7 @@ def represent_definite_quadratic(
     if target == 0:
         return (0, 0)
     if exponents is None:
-        exponents = arith.factor(target).exponents
+        exponents = arith.factor(target)
     sols = definite_representations(form, target, exponents)
     return max((s for s in sols if s[0] >= 0), default=None)
 
@@ -568,7 +568,9 @@ class SearchTask:
     ball_cap limits enumeration radii and the ideals a definite solve tries.
     checkpoint_path names a JSON-lines file that gets one line per cell as
     the cell completes; rerunning the same task with it resumes where the
-    file ends (see run_search).
+    file ends (see run_search).  An option the chosen walk does not
+    use must keep its default: the CLI hashes every option it is given, so
+    ignoring one would give equal results different hashes.
     """
 
     equation: Equation
@@ -600,20 +602,22 @@ class SearchTask:
                 raise ValueError("m_min must be nonnegative")
             if self.m_max is not None and self.m_max < self.m_min:
                 raise ValueError("m_max must be at least m_min")
-            if self.single_factorial and eq.poly is None:
+            if self.single_factorial and eq.family.is_binary:
                 raise ValueError("single-factorial mode needs a univariate target")
+            unread = {"prod_bounds", "range_override"}
+            if self.single_factorial:
+                unread |= {"m_min", "m_max", "include_diagonal"}
         else:
             if self.prod_bounds is None or not self.prod_bounds:
                 raise ValueError("product families need prod_bounds")
             if any(b < 0 for b in self.prod_bounds):
                 raise ValueError("prod_bounds entries must be nonnegative")
-            if self.single_factorial:
-                raise ValueError("single-factorial mode is a sum-family feature")
+            unread = {"n_max", "m_min", "m_max", "include_diagonal", "single_factorial"}
             r = len(self.prod_bounds)
             if (
                 r >= 2
-                and eq.poly is not None
-                and eq.poly.degree <= r
+                and not eq.family.is_binary
+                and eq.target.degree <= r
                 and not self.range_override
             ):
                 raise ValueError(
@@ -621,6 +625,12 @@ class SearchTask:
                     "usually has infinitely many solutions; pass "
                     "range_override=True to search the range anyway"
                 )
+        moved = [f.name for f in fields(self)
+                 if f.name in unread and getattr(self, f.name) != f.default]
+        if moved:
+            raise ValueError(
+                f"this search does not use {', '.join(moved)}; leave each at its default"
+            )
 
     def fingerprint(self) -> str:
         eq = self.equation
@@ -703,7 +713,7 @@ def _solve_exact(
         if target_value < 0:
             return CellStatus.NONE_EXHAUSTIVE, None, "sign_mismatch"
         if factorization is None:
-            factorization = (arith.factor(target_value).exponents, [])
+            factorization = (arith.factor(target_value), [])
         exponents, leftovers = factorization
         if leftovers:
             return CellStatus.UNKNOWN, None, "unfactored"
@@ -739,11 +749,11 @@ def _left_factorization(task: SearchTask, cell) -> tuple[dict[int, int], list[in
     exps: Counter = Counter()
     leftovers: list[int] = []
     if not eq.is_sum:
-        exps.update(arith.factor(eq.b).exponents)
+        exps.update(arith.factor(eq.b))
         for c in cell:
             exps.update(valuation.double_factorial_sketch(c))
     elif cell[0] == cell[1]:
-        exps.update(arith.factor(eq.a + eq.b).exponents)
+        exps.update(arith.factor(eq.a + eq.b))
         exps.update(valuation.factorial_sketch(cell[0]))
     else:
         n, m = cell

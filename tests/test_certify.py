@@ -10,6 +10,7 @@ from factcert import arith, certify, obstruction, valuation
 from factcert.certify import (
     Certificate,
     Equation,
+    Family,
     ZeroLeftSideError,
     certify_cell,
     left_is_zero,
@@ -19,6 +20,7 @@ from factcert.certify import (
     window_prime_report,
     window_primes,
 )
+from factcert.forms import BinaryForm, UnivariatePoly
 
 SUM_SQUARES = Equation.sum_binary(1, 1, (1, 0, 1))
 SUM_X2 = Equation.sum_univariate(1, 1, (1, 0, 0))
@@ -92,6 +94,33 @@ def test_certificate_round_trip():
     assert recheck(back)
 
 
+def test_declared_irreducible_certificate_round_trip():
+    # degree 5 is past native factoring: only the declaration makes the form
+    # certifiable, and no CLI flag declares it, so only the API reaches here
+    eq = Equation.sum_binary(1, 1, (1, 0, 0, 0, 0, 2), irreducible_declared=True)
+    cert = certify_cell(eq, (12, 11))
+    assert cert.equation is eq and cert.prime == 11
+    data = json.loads(json.dumps(cert.to_dict()))
+    assert data["irreducible_declared"] is True and "factor_list" not in data
+    back = Certificate.from_dict(data)
+    assert back == cert
+    assert recheck(back, deep=True)
+
+
+@pytest.mark.parametrize(
+    "family, target",
+    [
+        (Family.SUM_FACT_BINARY, UnivariatePoly((1, 0, 1))),
+        (Family.PROD_DFACT_BINARY, UnivariatePoly((1, 0, 1))),
+        (Family.SUM_FACT_UNI, BinaryForm((1, 0, 1))),
+        (Family.PROD_DFACT_UNI, BinaryForm((1, 0, 1))),
+    ],
+)
+def test_equation_refuses_a_target_of_the_wrong_kind(family, target):
+    with pytest.raises(ValueError, match="target"):
+        Equation(family, target)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -151,7 +180,7 @@ def _reference_certify(eq, cell, prime_budget, rho_steps=0):
         rule = certify._rule_outcome(profile, v)
         if rule is None:
             return None
-        return certify._certificate(eq, cell, profile, v, rule, notes)
+        return Certificate(eq, cell, q, v, profile.forced_exponent, rule, notes=notes)
 
     for q in window_primes(cell[1] if eq.is_sum else max(cell)):
         cert = attempt(q, ("window_prime",))
@@ -164,7 +193,7 @@ def _reference_certify(eq, cell, prime_budget, rho_steps=0):
             if cert is not None:
                 return cert
     if not eq.is_sum:
-        exponents, note = arith.factor(eq.b).exponents, ("multiplier_factor",)
+        exponents, note = arith.factor(eq.b), ("multiplier_factor",)
     elif rho_steps <= 0:
         return None
     else:
@@ -303,7 +332,7 @@ def test_no_certificate_for_representable_value():
 
 
 def test_window_prime_report_fields():
-    rep = window_prime_report(SUM_SQUARES.form, 100)
+    rep = window_prime_report(SUM_SQUARES.target, 100)
     assert rep.m == 100
     assert all(50 < q <= 100 for q in rep.relaxed_primes)
     assert set(rep.relaxed_eligible) <= set(rep.relaxed_primes)
@@ -321,7 +350,7 @@ def test_certificates_only_at_eligible_primes():
                 continue
             from factcert.obstruction import obstruction_profile
 
-            profile = obstruction_profile(SUM_SQUARES.form, cert.prime)
+            profile = obstruction_profile(SUM_SQUARES.target, cert.prime)
             assert profile.eligible
             assert cert.forced_exponent == profile.forced_exponent
             assert recheck(cert)

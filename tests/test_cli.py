@@ -2,6 +2,7 @@
 codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -87,7 +88,7 @@ def test_token_grammar_rejections():
         # a bundled form keeps its declared factor list
         (
             {"form": "x4+2x2y2+y4"},
-            Equation(Family.SUM_FACT_BINARY, form=BUNDLED_FORMS["x4+2x2y2+y4"]),
+            Equation(Family.SUM_FACT_BINARY, BUNDLED_FORMS["x4+2x2y2+y4"]),
         ),
     ],
 )
@@ -137,6 +138,9 @@ _PINNED_INI = "[factcert]\nn_max = 14\ninclude_diagonal = yes\nprime_budget = 50
          "eac4c66ab9dbe54d106295b25d4b9d6b9ea7f8d845275e0c786691d62d84ff0b"),
         (["bounds", "--poly", "x^2-1", "--epsilon", "1/4"],
          "ca83c7faa090df0418c48a9347fa65d963baaba89e638d43b66c68a575557fc0"),
+        # the hash reads the text as typed: "2.50", not the float 2.5
+        (["bounds", "--poly", "x^3-2", "--k-epsilon", "2.50"],
+         "ee2eccd33ee6aee7a882e4f79badee6273c39fb5f2f12d00265c5e857705a289"),
     ],
 )
 def test_config_hashes_are_pinned(argv, digest, tmp_path, capsys):
@@ -281,6 +285,34 @@ def test_out_of_range_budgets_and_ranges_exit_one(argv, tmp_path, capsys):
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--form", "x2+y2", "--nmax", "5", "--prod-bounds", "5"],
+        ["--form", "x2+y2", "--nmax", "5", "--range-override"],
+        *(
+            ["--family", "prod", "--form", "x2+y2", "--prod-bounds", "5", *extra]
+            for extra in (["--nmax", "9"], ["--mmax", "3"], ["--mmin", "3"],
+                          ["--include-diagonal"], ["--single-factorial"], ["--a", "3"])
+        ),
+        *(
+            ["--poly", "x^2-1", "--single-factorial", "--nmax", "10", *extra]
+            for extra in (["--include-diagonal"], ["--mmax", "4"], ["--mmin", "4"])
+        ),
+    ],
+)
+def test_search_refuses_options_its_walk_ignores(argv, tmp_path, capsys):
+    # each of these would classify the same cells as without the extra
+    # option, yet under another config hash
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["search", *argv, "--out", str(out)], capsys)
+    assert code == cli.EXIT_INPUT
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "leave" in err
     assert not out.exists()
 
 
@@ -593,6 +625,34 @@ def test_bounds_pipeline_json(capsys):
     assert figures["C2"]["conditional"] is False
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--k-epsilon", "inf"], "argument --k-epsilon: not a rational number: 'inf'"),
+        (["--k-epsilon", "abc"], "argument --k-epsilon: not a rational number: 'abc'"),
+        (["--epsilon", "1/0"], "argument --epsilon: not a rational number: '1/0'"),
+        # parses, but overflows a float: AbcParams refuses the infinite K
+        (["--k-epsilon", "1e400"], "error: K(epsilon) must be positive and finite"),
+    ],
+)
+def test_bounds_bad_hypothesis_values_exit_one(flags, message, capsys):
+    try:
+        code = cli.main(["bounds", "--poly", "x^3-2", *flags])
+    except SystemExit as exc:  # argparse reports a value its type rejects
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_bounds_pipeline_scan_overrun_is_unresolved(capsys):
+    code, out, err = run_cli(["bounds", "--poly", "x^3-2", "--epsilon", "1/4"], capsys)
+    assert code == cli.EXIT_OPEN
+    assert out.splitlines()[1].startswith("unresolved: inequality still satisfied")
+    assert err == ""
+
+
 def test_bounds_monomial_target_handoff(capsys):
     code, out, _ = run_cli(["bounds", "--poly", "x^2"], capsys)
     assert code == cli.EXIT_OK
@@ -650,6 +710,61 @@ def test_recheck_accepts_then_rejects_tampered(square_search, tmp_path, capsys):
     code, out, _ = run_cli(["recheck", "--certs", str(bad_path)], capsys)
     assert code == cli.EXIT_OPEN
     assert "FAIL" in out
+
+
+def test_recheck_names_a_malformed_factor_list(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["search", "--form", "x4+2x2y2+y4", "--nmax", "6", "--out", str(out)]
+    assert run_cli(argv, capsys)[0] == cli.EXIT_OK
+    payload = json.loads((out / "certificates.json").read_text())
+    payload["certificates"][1]["factor_list"][0][0] = [1, 0, 2]
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(payload))
+    code, stdout, _ = run_cli(["recheck", "--certs", str(bad_path)], capsys)
+    assert code == cli.EXIT_OPEN
+    lines = stdout.splitlines()
+    total = len(payload["certificates"])
+    assert len(lines) == total + 1
+    assert lines[1].startswith("FAIL [1]: FormDataError: ")
+    assert all(line.startswith("ok   ") for i, line in enumerate(lines[:-1]) if i != 1)
+    assert lines[-1] == f"rechecked {total} certificates, 1 failed"
+
+
+# Stored certificate files are rechecked years later, so their bytes only
+# move on purpose.  These runs write every optional certificate key but
+# irreducible_declared (factor_list and factor_constant from the bundled
+# x4+2x2y2+y4) and cover all four families and a scaled target.
+@pytest.mark.parametrize(
+    "argv, certs_sha, summary_sha",
+    [
+        (["--form", "x4+2x2y2+y4", "--nmax", "15"],
+         "bb1fb974e403e507b44404d47fa312f1e229ba2d14d0dd740e5686325058271a",
+         "71a9baa9ef854eab6e44d489daa411f13fff3802d365b14805b8dbfca0397785"),
+        (["--family", "prod", "--form", "x2+y2", "--prod-bounds", "20,20"],
+         "d05e4401d7068c84a5c0716647e7089279b6e63beeb86928f53568f6328d87b5",
+         "76dfd86bb411d9ee09b58730d82ef19034a38abd4fd1b69796173eb2ec57d4c8"),
+        (["--poly", "x^2", "--nmax", "20"],
+         "da134009cb73c8aa66a04d24cc2b4732c6363b1671a3b5d70cafd85d5d633fd4",
+         "7f72e9d114a5885c972ee76a350e8959a598cd7b0ededcca09861030e05498a3"),
+        (["--family", "prod", "--poly", "x^2-2", "--prod-bounds", "30"],
+         "6dd4e47bcf614d8ad3d1bb65e9333ccce4cc25cc3d30446b78a84214f4670d37",
+         "ace9b15a6aeb99598e9598b862330fcdd639a3c568be6b9fbbbf68f85885bf3d"),
+        (["--form", "1/2x2+y2", "--a", "2", "--b", "-3", "--nmax", "14"],
+         "59ca3e1fdbe1ff25e940de49a53ad4121e467d9fa56add19ecebb58ef4436d98",
+         "8c46f3120ecacf0bd596c6e8df7430de55b2b657cf2d034969b8fc9c414f86f3"),
+    ],
+    ids=["factored-form", "prod-form", "poly", "prod-poly", "scaled"],
+)
+def test_certificate_and_summary_bytes_are_pinned(argv, certs_sha, summary_sha,
+                                                  tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run_cli(["search", *argv, "--out", str(out)], capsys)
+    assert code == cli.EXIT_OK, err
+    digest = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("certificates.json", "summary.json")
+    }
+    assert digest == {"certificates.json": certs_sha, "summary.json": summary_sha}
 
 
 # ---------------------------------------------------------------------------
