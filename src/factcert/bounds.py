@@ -11,7 +11,6 @@ carrying provenance and a conditional flag.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .valuation import logfact
 
 STIRLING_SCAN_CAP = 10**9
 FRONTIER_SLICE_CAP = 200_000
+_DESCENT_CAP = 2**29  # last power of two below STIRLING_SCAN_CAP
 _PRECISION_BITS = 113
 _DECISION_TOL = 1e-25  # far above 113-bit noise, far below any real margin
 
@@ -62,22 +62,16 @@ class MonomialTargetError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class StirlingKind(enum.Enum):
-    SINGLE = "single"
-    DOUBLE = "double"
-
-
 @dataclass(frozen=True)
 class StirlingInequality:
     """(2m+1)^(2m+1)/m^m < E'*e^(A'm), or the two-index product version.
 
-    SINGLE compares S(m) = (2m+1)log(2m+1) - m log m against A'm + C' + log E'.
-    DOUBLE compares S(n1) + S(m1) against A'n1 + B'm1 + C' + log E'. The B'
-    slope belongs to the second index only, so SINGLE leaves it unset; C' is
-    an optional additive intercept kept in log space.
+    With b unset it compares S(m) = (2m+1)log(2m+1) - m log m against
+    A'm + C' + log E'. With b set it compares S(n1) + S(m1) against
+    A'n1 + B'm1 + C' + log E': the B' slope belongs to the second index only.
+    C' is an optional additive intercept kept in log space.
     """
 
-    kind: StirlingKind
     a: float
     b: float | None = None
     c: float | None = None
@@ -88,8 +82,6 @@ class StirlingInequality:
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise ValueError(f"coefficient {name}' must be positive")
-        if self.kind is StirlingKind.DOUBLE and self.b is None:
-            raise ValueError("the two-index form needs slope b' for the second index")
 
     def intercept_log(self) -> float:
         return (self.c or 0.0) + math.log(self.e)
@@ -108,7 +100,7 @@ def stirling_margin(ineq: StirlingInequality, *indices: int) -> float:
     """RHS log minus LHS log at the given indices; positive means satisfied."""
     import mpmath
     with mpmath.workprec(_PRECISION_BITS):
-        if ineq.kind is StirlingKind.SINGLE:
+        if ineq.b is None:
             (m,) = indices
             lhs = _s_log(m)
             rhs = mpmath.mpf(ineq.a) * m + mpmath.mpf(ineq.intercept_log())
@@ -123,8 +115,32 @@ def stirling_margin(ineq: StirlingInequality, *indices: int) -> float:
         return float(rhs - lhs)
 
 
-def _single_h(slope: float, ln_e: float):
-    """h(m) = S(m) - slope*m - ln_e; h < 0 means the inequality holds at m.
+def _last_true(pred, lo: int, cap: int) -> int:
+    """Largest k in [lo, cap] with pred(k), for pred true at lo and then false.
+
+    Steps of 1, 2, 4, ... from lo (the last one clamped to cap) find a false
+    probe, and bisection closes in on the crossing; returns cap when pred
+    holds there.
+    """
+    step = 1
+    while True:
+        hi = min(lo + step, cap)
+        if not pred(hi):
+            break
+        if hi == cap:
+            return cap
+        lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _single_h(slope: float, ln_e: float, shift: float = 0.0):
+    """h(m) = S(m) - slope*m + shift - ln_e; h < 0 means the inequality holds at m.
 
     h''(m) = (2m-1)/(m(2m+1)) > 0 for m >= 1, so h is strictly convex and the
     satisfied set is a single integer interval. That is what lets the scans
@@ -134,7 +150,9 @@ def _single_h(slope: float, ln_e: float):
 
     def h(m: int) -> float:
         with mpmath.workprec(_PRECISION_BITS):
-            return float(_s_log(m) - mpmath.mpf(slope) * m - mpmath.mpf(ln_e))
+            return float(
+                _s_log(m) - mpmath.mpf(slope) * m + mpmath.mpf(shift) - mpmath.mpf(ln_e)
+            )
 
     def hp(m: int) -> float:
         return 2 * math.log(2 * m + 1) - math.log(m) + 1 - slope
@@ -142,100 +160,68 @@ def _single_h(slope: float, ln_e: float):
     return h, hp
 
 
-def _satisfied_interval(h, hp, cap: int) -> tuple[int, int] | None:
-    """Integer interval where the convex h is < -tol, or None; error at cap."""
+def _minimiser(h, hp) -> int | None:
+    """Integer minimiser of the convex h, or None while h still descends.
+
+    Steps from 1 probe powers of two, so the descent is followed only up to
+    _DESCENT_CAP: a minimiser beyond it reads as still descending.
+    """
+    if hp(1) >= 0:
+        return 1
+    k = _last_true(lambda m: hp(m) < 0, 1, _DESCENT_CAP)
+    if k == _DESCENT_CAP:
+        return None
+    return k if h(k) <= h(k + 1) else k + 1
+
+
+_AT_CAP = (
+    f"inequality still satisfied at the scan cap {STIRLING_SCAN_CAP}; "
+    "coefficients are inconsistent with factorial growth"
+)
+
+
+def _satisfied_interval(h, anchor: int | None) -> tuple[int, int] | None:
+    """Integer interval where the convex h is < -tol, or None; error at the cap.
+
+    anchor is h's integer minimiser, None when h still descends at the cap.
+    """
 
     def sat(m: int) -> bool:
         return h(m) < -_DECISION_TOL
 
-    # locate the integer minimum region via the increasing derivative
-    if hp(1) >= 0:
-        anchor = 1
-    else:
-        hi = 2
-        while hp(hi) <= 0:
-            hi *= 2
-            if hi > cap:
-                # still descending at the cap: either satisfied there (no
-                # failure within budget) or the dip lies beyond reach
-                if sat(cap):
-                    raise BoundScanError(
-                        f"inequality still satisfied at the scan cap {cap}; "
-                        "coefficients are inconsistent with factorial growth"
-                    )
-                return None
-        lo = hi // 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if hp(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        anchor = lo if h(lo) <= h(hi) else hi
+    if anchor is None:
+        # still descending at the cap: either satisfied there (no failure
+        # within budget) or the dip lies beyond reach
+        if sat(STIRLING_SCAN_CAP):
+            raise BoundScanError(_AT_CAP)
+        return None
     if not sat(anchor):
         return None
-
-    # right endpoint: doubling then bisection on the increasing side
-    step = 1
-    last = anchor
-    while True:
-        probe = last + step
-        if probe > cap:
-            if sat(cap):
-                raise BoundScanError(
-                    f"inequality still satisfied at the scan cap {cap}; "
-                    "coefficients are inconsistent with factorial growth"
-                )
-            probe = cap
-            break
-        if sat(probe):
-            last = probe
-            step *= 2
-        else:
-            break
-    lo, hi = last, probe
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sat(mid):
-            lo = mid
-        else:
-            hi = mid
-    right = lo
-
+    right = _last_true(sat, anchor, STIRLING_SCAN_CAP)
+    if right == STIRLING_SCAN_CAP:
+        raise BoundScanError(_AT_CAP)
     # permanence: next index fails and the margin keeps widening
     if sat(right + 1) or not h(right + 2) >= h(right + 1):
         raise BoundScanError("failure at the crossing is not permanent; scan invalid")
-
-    # left endpoint by bisection below the anchor
-    if sat(1):
-        left = 1
-    else:
-        lo, hi = 1, anchor
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if sat(mid):
-                hi = mid
-            else:
-                lo = mid
-        left = hi
+    left = 1 if sat(1) else 1 + _last_true(lambda m: not sat(m), 1, anchor)
     return left, right
 
 
-def _last_single_index(slope: float, ln_e: float, cap: int = STIRLING_SCAN_CAP) -> int:
+def _last_single_index(slope: float, ln_e: float) -> int:
     h, hp = _single_h(slope, ln_e)
-    interval = _satisfied_interval(h, hp, cap)
+    interval = _satisfied_interval(h, _minimiser(h, hp))
     return interval[1] if interval else 0
 
 
 def stirling_bound(ineq: StirlingInequality) -> int:
     """Largest index satisfying the inequality (0 when no index does).
 
-    SINGLE returns the largest m; DOUBLE returns the largest first index over
-    the whole frontier (see stirling_frontier for the full staircase). The
+    One index: the largest m. Two indices: the largest first index over the
+    whole frontier (see stirling_frontier for the full staircase). The
     crossing is verified permanent: the inequality fails at every larger index
     because the log-difference derivative is positive and increasing there.
     """
-    if ineq.kind is StirlingKind.SINGLE:
+    if ineq.b is None:
         return _last_single_index(ineq.a, ineq.intercept_log())
     frontier = stirling_frontier(ineq)
     return frontier[-1][0] if frontier else 0
@@ -248,40 +234,20 @@ def stirling_frontier(ineq: StirlingInequality) -> list[tuple[int, int, int]]:
     convex sublevel set with the integer grid: every row and column meets it
     in an interval, giving the staircase. Slices are returned in n1 order.
     """
-    if ineq.kind is not StirlingKind.DOUBLE:
+    if ineq.b is None:
         raise ValueError("frontier is defined for the two-index form")
-    import mpmath
-    a, b, ln_e = ineq.a, ineq.b, ineq.intercept_log()
+    a, ln_e = ineq.a, ineq.intercept_log()
 
-    g, gp = _single_h(b, 0.0)
-    # integer minimizer of g on [1, cap]
-    if gp(1) >= 0:
-        m_star = 1
-    else:
-        hi = 2
-        while gp(hi) <= 0:
-            hi *= 2
-            if hi > STIRLING_SCAN_CAP:
-                raise BoundScanError("second-index slope too small for the scan cap")
-        lo = hi // 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if gp(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        m_star = lo if g(lo) <= g(hi) else hi
+    # every slice h_m = g + offset(n1) shares g's integer minimiser
+    g, gp = _single_h(ineq.b, 0.0)
+    m_star = _minimiser(g, gp)
+    if m_star is None:
+        raise BoundScanError("second-index slope too small for the scan cap")
     g_min = g(m_star)
 
-    # n1 slice is nonempty exactly when hN(n1) = S(n1) - a*n1 + g_min - lnE' < 0
-    def h_n(n: int) -> float:
-        with mpmath.workprec(_PRECISION_BITS):
-            return float(_s_log(n) - mpmath.mpf(a) * n + mpmath.mpf(g_min) - mpmath.mpf(ln_e))
-
-    def h_np(n: int) -> float:
-        return 2 * math.log(2 * n + 1) - math.log(n) + 1 - a
-
-    span = _satisfied_interval(h_n, h_np, STIRLING_SCAN_CAP)
+    # n1 slice is nonempty exactly when S(n1) - a*n1 + g_min - lnE' < 0
+    h_n, h_np = _single_h(a, ln_e, shift=g_min)
+    span = _satisfied_interval(h_n, _minimiser(h_n, h_np))
     if span is None:
         return []
     n_lo, n_hi = span
@@ -290,15 +256,14 @@ def stirling_frontier(ineq: StirlingInequality) -> list[tuple[int, int, int]]:
             f"frontier spans {n_hi - n_lo} slices; beyond exhaustive enumeration"
         )
 
+    offset, _ = _single_h(a, ln_e)
     out = []
     for n1 in range(n_lo, n_hi + 1):
-        with mpmath.workprec(_PRECISION_BITS):
-            offset = float(_s_log(n1) - mpmath.mpf(a) * n1 - mpmath.mpf(ln_e))
 
-        def h_m(m: int, _off=offset) -> float:
+        def h_m(m: int, _off=offset(n1)) -> float:
             return g(m) + _off
 
-        slice_span = _satisfied_interval(h_m, gp, STIRLING_SCAN_CAP)
+        slice_span = _satisfied_interval(h_m, m_star)
         if slice_span is None:
             continue  # numeric boundary slice; skip rather than overclaim
         out.append((n1, slice_span[0], slice_span[1]))
@@ -485,23 +450,15 @@ def _root_free_radius(coeffs) -> int:
 def _last_log_dfact_below(threshold_log: float) -> int:
     """Largest m >= 1 with log((2m+1)!!) below the threshold; 0 if none."""
 
-    def ldf(m: int) -> float:
-        return logfact(2 * m + 1) - m * LN2 - logfact(m)
+    def below(m: int) -> bool:
+        return logfact(2 * m + 1) - m * LN2 - logfact(m) < threshold_log
 
-    if ldf(1) >= threshold_log:
+    if not below(1):
         return 0
-    lo, hi = 1, 2
-    while ldf(hi) < threshold_log:
-        lo, hi = hi, hi * 2
-        if hi > STIRLING_SCAN_CAP:
-            raise BoundScanError("threshold exceeds double-factorial growth cap")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ldf(mid) < threshold_log:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    m = _last_true(below, 1, _DESCENT_CAP)
+    if m == _DESCENT_CAP:
+        raise BoundScanError("threshold exceeds double-factorial growth cap")
+    return m
 
 
 def conditional_bound_pipeline(

@@ -481,12 +481,11 @@ def cmd_obstruct_scan(args: argparse.Namespace) -> int:
     if mult != 1:
         print(f"# denominators cleared: target scaled by {mult}")
     print(f"{'q':>6}  {'forced_exp':>10}  rule")
-    for q in scan.eligible_primes:
-        profile = obstruction_mod.obstruction_profile(target, q)
+    for profile in scan.eligible:
         exp = "inf" if profile.unbounded else str(profile.forced_exponent)
-        print(f"{q:>6}  {exp:>10}  {profile.reason}")
+        print(f"{profile.q:>6}  {exp:>10}  {profile.reason}")
     print(
-        f"# eligible {len(scan.eligible_primes)} of {scan.total_primes} "
+        f"# eligible {len(scan.eligible)} of {scan.total_primes} "
         f"primes in [{lo}, {hi}]  density {scan.density:.3f}"
     )
     return EXIT_OK
@@ -505,9 +504,7 @@ def _parse_stirling(text: str) -> bounds_mod.StirlingInequality:
     if e_ <= 0:
         raise CLIInputError("--stirling: prefactor E must be positive")
     # zero means "absent": B=0 selects the single-variable inequality
-    kind = bounds_mod.StirlingKind.DOUBLE if b_ > 0 else bounds_mod.StirlingKind.SINGLE
     return bounds_mod.StirlingInequality(
-        kind=kind,
         a=a_,
         b=b_ if b_ > 0 else None,
         c=c_ if c_ > 0 else None,
@@ -533,7 +530,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         ineq = _parse_stirling(cfg["stirling"])
         print(f"# config {cfg_hash}")
         try:
-            if ineq.kind is bounds_mod.StirlingKind.SINGLE:
+            if ineq.b is None:
                 m_max = bounds_mod.stirling_bound(ineq)
                 print(f"kind SINGLE  slope {ineq.a}  intercept_log {ineq.intercept_log()}")
                 print(f"m_max={m_max}")

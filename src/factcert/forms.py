@@ -9,7 +9,6 @@ a_0*y^d for forms, so a form and its x-dehomogenization share one tuple.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +40,14 @@ def _eval_int(coeffs, x: int) -> int:
     for c in coeffs:
         v = v * x + c
     return v
+
+
+def _mul(p, q) -> tuple:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
 
 
 def _derivative(coeffs) -> tuple:
@@ -595,20 +602,22 @@ def factor_binary_form(form: BinaryForm):
 
 
 def _check_factorization(form: BinaryForm) -> None:
+    # forms multiply as their coefficient tuples do, so the product is exact
     if form.factor_constant is None:
         raise FormDataError("factor list requires factor_constant")
-    rng = random.Random(0xFAC7)
-    for _ in range(20):
-        x = rng.randint(-50, 50)
-        y = rng.randint(-50, 50)
-        want = form.evaluate(x, y)
-        got = form.factor_constant
-        for f, e in form.factors:
-            got *= f.evaluate(x, y) ** e
-        if want != got:
-            raise FormDataError(
-                f"declared factorization disagrees with the form at ({x}, {y})"
-            )
+    # a stored list is outside input: refuse a wrong degree before multiplying
+    if any(e < 1 for _, e in form.factors) or (
+        sum(f.degree * e for f, e in form.factors) != form.degree
+    ):
+        raise FormDataError(f"declared factors do not have total degree {form.degree}")
+    product = (form.factor_constant,)
+    for f, e in form.factors:
+        for _ in range(e):
+            product = _mul(product, f.coeffs)
+    if product != form.coeffs:
+        raise FormDataError(
+            f"declared factorization multiplies out to {form_text(product)}, not {form}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -255,14 +255,18 @@ def obstruction_profile(target, q: int) -> ObstructionProfile:
 class ObstructionScan:
     lo: int
     hi: int
-    eligible_primes: tuple[int, ...]
+    eligible: tuple[ObstructionProfile, ...]
     total_primes: int
+
+    @property
+    def eligible_primes(self) -> tuple[int, ...]:
+        return tuple(profile.q for profile in self.eligible)
 
     @property
     def density(self) -> float:
         if self.total_primes == 0:
             return 0.0
-        return len(self.eligible_primes) / self.total_primes
+        return len(self.eligible) / self.total_primes
 
 
 def scan_obstruction_primes(target, lo: int, hi: int) -> ObstructionScan:
@@ -270,12 +274,9 @@ def scan_obstruction_primes(target, lo: int, hi: int) -> ObstructionScan:
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
     primes = arith.cached_sieve(hi).in_range(lo, hi)
-    eligible = tuple(
-        q for q in primes if obstruction_profile(target, q).eligible
-    )
-    return ObstructionScan(
-        lo=lo, hi=hi, eligible_primes=eligible, total_primes=len(primes)
-    )
+    profiles = (obstruction_profile(target, q) for q in primes)
+    eligible = tuple(profile for profile in profiles if profile.eligible)
+    return ObstructionScan(lo=lo, hi=hi, eligible=eligible, total_primes=len(primes))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from factcert import cli
 from factcert.arith import primorial_bound_check
 from factcert.bounds import (
     StirlingInequality,
-    StirlingKind,
     stirling_bound,
     stirling_margin,
 )
@@ -208,7 +207,7 @@ def test_criterion_08_primorial_envelope():
 
 def test_criterion_09_stirling_crossing():
     start = time.perf_counter()
-    ineq = StirlingInequality(kind=StirlingKind.SINGLE, a=5.0)
+    ineq = StirlingInequality(a=5.0)
     m_max = stirling_bound(ineq)
     assert m_max == 31
     assert stirling_margin(ineq, m_max) > 0

@@ -12,7 +12,7 @@ from factcert.bounds import (
     BoundScanError,
     MonomialTargetError,
     StirlingInequality,
-    StirlingKind,
+    _last_log_dfact_below,
     conditional_bound_pipeline,
     radical_bound_factorial,
     stirling_bound,
@@ -20,6 +20,7 @@ from factcert.bounds import (
     stirling_margin,
 )
 from factcert.forms import BUNDLED_POLYS, depress, sandwich_threshold
+from factcert.valuation import logfact
 
 
 def _s(t: int) -> mpmath.mpf:
@@ -34,12 +35,12 @@ def _s(t: int) -> mpmath.mpf:
 
 
 def test_single_crossing_slope_five():
-    ineq = StirlingInequality(kind=StirlingKind.SINGLE, a=5.0)
+    ineq = StirlingInequality(a=5.0)
     assert stirling_bound(ineq) == 31
 
 
 def test_single_crossing_is_stable_for_next_hundred():
-    ineq = StirlingInequality(kind=StirlingKind.SINGLE, a=5.0)
+    ineq = StirlingInequality(a=5.0)
     m_max = stirling_bound(ineq)
     assert stirling_margin(ineq, m_max) >= 0
     for m in range(m_max + 1, m_max + 101):
@@ -49,7 +50,7 @@ def test_single_crossing_is_stable_for_next_hundred():
 def test_single_crossing_matches_brute_scan():
     # direct high-precision evaluation of both sides, no envelope shortcuts
     for slope in (4.0, 5.0, 8.0):
-        ineq = StirlingInequality(kind=StirlingKind.SINGLE, a=slope)
+        ineq = StirlingInequality(a=slope)
         m_max = stirling_bound(ineq)
         assert m_max >= 1
         with mpmath.workprec(120):
@@ -63,25 +64,23 @@ def test_single_crossing_matches_brute_scan():
 
 
 def test_intercept_equivalence_log_vs_prefactor():
-    v1 = StirlingInequality(kind=StirlingKind.SINGLE, a=4.0, c=2.0)
-    v2 = StirlingInequality(kind=StirlingKind.SINGLE, a=4.0, e=math.exp(2.0))
+    v1 = StirlingInequality(a=4.0, c=2.0)
+    v2 = StirlingInequality(a=4.0, e=math.exp(2.0))
     assert v1.intercept_log() == pytest.approx(v2.intercept_log())
     assert stirling_bound(v1) == stirling_bound(v2)
 
 
 def test_inconsistent_slope_hits_scan_cap():
-    ineq = StirlingInequality(kind=StirlingKind.SINGLE, a=100.0)
+    ineq = StirlingInequality(a=100.0)
     with pytest.raises(BoundScanError):
         stirling_bound(ineq)
 
 
 def test_bad_coefficients_rejected():
     with pytest.raises(ValueError):
-        StirlingInequality(kind=StirlingKind.SINGLE, a=-1.0)
+        StirlingInequality(a=-1.0)
     with pytest.raises(ValueError):
-        StirlingInequality(kind=StirlingKind.DOUBLE, a=5.0)  # missing b
-    with pytest.raises(ValueError):
-        StirlingInequality(kind=StirlingKind.SINGLE, a=5.0, e=0.0)
+        StirlingInequality(a=5.0, e=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +89,7 @@ def test_bad_coefficients_rejected():
 
 
 def test_double_staircase_matches_brute():
-    ineq = StirlingInequality(kind=StirlingKind.DOUBLE, a=5.0, b=5.0)
+    ineq = StirlingInequality(a=5.0, b=5.0)
     frontier = stirling_frontier(ineq)
     with mpmath.workprec(120):
         vals = {t: _s(t) for t in range(1, 201)}
@@ -111,8 +110,54 @@ def test_double_staircase_matches_brute():
     assert frontier[0] == (1, 1, 33)
 
 
+def test_double_staircase_with_small_prefactor_matches_brute():
+    # E' = 0.01 empties the n1 = 1 slice and starts slices above m1 = 1
+    ineq = StirlingInequality(a=6.0, b=4.0, e=0.01)
+    frontier = stirling_frontier(ineq)
+    with mpmath.workprec(120):
+        vals = {t: _s(t) for t in range(1, 201)}
+        ln_e = mpmath.log(mpmath.mpf(0.01))
+        brute = {}
+        for n1 in range(1, 201):
+            ms = [
+                m1
+                for m1 in range(1, 201)
+                if vals[n1] + vals[m1] < 6 * n1 + 4 * m1 + ln_e
+            ]
+            if ms:
+                assert ms == list(range(min(ms), max(ms) + 1)), n1
+                brute[n1] = (min(ms), max(ms))
+    assert {n1: (lo, hi) for n1, lo, hi in frontier} == brute
+    assert (frontier[0][0], frontier[-1]) == (2, (91, 3, 5))
+    assert stirling_bound(ineq) == 91
+
+
+def test_single_crossing_with_small_prefactor_matches_brute():
+    # E' = 0.01 fails at m = 1 too, so the satisfied set starts above 1
+    ineq = StirlingInequality(a=5.0, e=0.01)
+    with mpmath.workprec(120):
+        ln_e = mpmath.log(mpmath.mpf(0.01))
+        ms = [m for m in range(1, 301) if _s(m) < 5 * m + ln_e]
+    assert ms[0] > 1
+    assert ms == list(range(ms[0], ms[-1] + 1))
+    assert stirling_bound(ineq) == ms[-1]
+
+
+@pytest.mark.parametrize(
+    "threshold", [0.5, math.log(3), 1.1, 2.0, 10.0, 100.0, 1234.5, 20000.0]
+)
+def test_last_log_dfact_below_matches_direct_scan(threshold):
+    def ldf(m):
+        return logfact(2 * m + 1) - m * math.log(2) - logfact(m)
+
+    m = 0
+    while ldf(m + 1) < threshold:
+        m += 1
+    assert _last_log_dfact_below(threshold) == m
+
+
 def test_double_staircase_is_contiguous_in_first_index():
-    ineq = StirlingInequality(kind=StirlingKind.DOUBLE, a=5.0, b=5.0)
+    ineq = StirlingInequality(a=5.0, b=5.0)
     frontier = stirling_frontier(ineq)
     ns = [n1 for n1, _, _ in frontier]
     assert ns == list(range(ns[0], ns[0] + len(ns)))

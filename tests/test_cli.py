@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import factcert
-from factcert import arith, cli
+from factcert import arith, cli, obstruction
 from factcert.certify import Equation, Family
 from factcert.forms import BUNDLED_FORMS
 
@@ -533,6 +533,17 @@ def test_obstruct_scan_sum_of_squares(capsys):
     assert "density 0.542" in lines[-1]
 
 
+def test_obstruct_scan_profiles_each_prime_once(capsys):
+    # the printed rows come from the scan's own profiles, not a second lookup
+    profile = obstruction.obstruction_profile
+    profile.cache_clear()
+    argv = ["obstruct-scan", "--form", "x2+y2", "--from", "3", "--to", "2000"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_OK
+    assert "eligible 155 of 302 primes" in out.splitlines()[-1]
+    assert (profile.cache_info().hits, profile.cache_info().misses) == (0, 302)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -584,6 +595,41 @@ def test_bounds_stirling_double_staircase(capsys):
     assert code == cli.EXIT_OK
     assert "slices 40" in out
     assert "n1=1  m1 in [1, 33]" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["--stirling", "5,0,0,1"], cli.EXIT_OK,
+         "aa78081dfbe2ae6fd1cb63aedd6e41ac3af310acab9e7ac30b14dd1a39332d44"),
+        (["--stirling", "5,5,0,1"], cli.EXIT_OK,
+         "91f3b57b7c08a5ae4f15a203d5e6a03bf18e6cdc36e7a74b83600ac37f85d685"),
+        # E' = 0.01: the frontier starts at n1 = 2 and is elided in the middle
+        (["--stirling", "6,4,0,0.01"], cli.EXIT_OK,
+         "913246531d0429cb8da3c7aec0d08b8031bac918fcbabda141c45677d244a1d6"),
+        (["--stirling", "100,0,0,1"], cli.EXIT_OPEN,
+         "bfeb4df7ca9257cc6e09bbbf27099be96d7c49c0a08bdb267128782a5af72168"),
+        (["--radical", "50"], cli.EXIT_OK,
+         "00345ca59d6a5466a72729d5a56d1dd9aae5805cdf84a084a8b5dc63cfd95eca"),
+        (["--poly", "x^2-1", "--epsilon", "1/4"], cli.EXIT_OK,
+         "afaf1ef0aad83bc588f092fb5ec9605c6ad7041ab22b2032f51bba551ec704ac"),
+        (["--poly", "x^3-2", "--epsilon", "1/8"], cli.EXIT_OK,
+         "c5fa2568896b4f5e5411e1d29a8c9ee241c7fc2418f3a53a7f9dbf990665e2c5"),
+    ],
+)
+def test_bounds_stdout_bytes_are_pinned(argv, code, digest, capsys):
+    # every bounds mode, byte for byte: the scans behind them share one search
+    got, out, err = run_cli(["bounds", *argv], capsys)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_bounds_stirling_inconsistent_message(capsys):
+    _, out, _ = run_cli(["bounds", "--stirling", "100,0,0,1"], capsys)
+    assert out.splitlines()[1] == (
+        "unresolved: inequality still satisfied at the scan cap 1000000000; "
+        "coefficients are inconsistent with factorial growth"
+    )
 
 
 def test_bounds_radical(capsys):
@@ -807,7 +853,7 @@ def test_bounds_layer_imports_mpmath_on_use():
         "import factcert\n"
         "from factcert import cli\n"
         "assert 'mpmath' not in sys.modules\n"
-        "ineq = factcert.StirlingInequality(factcert.StirlingKind.SINGLE, a=8.0)\n"
+        "ineq = factcert.StirlingInequality(a=8.0)\n"
         "print(factcert.stirling_bound(ineq))\n"
         "assert cli.main(['bounds', '--radical', '50']) == cli.EXIT_OK\n"
         "assert cli.main(['bounds', '--stirling', '8,0,0,1']) == cli.EXIT_OK\n"

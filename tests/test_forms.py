@@ -1,5 +1,6 @@
 """Form and polynomial plumbing: evaluation, clearing, depression, sandwich."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,45 @@ def test_declared_factorization_is_checked():
             factors=((BinaryForm((1, 0, -1)), 2),),
             factor_constant=1,
         )
+
+
+@pytest.mark.parametrize(
+    "coeffs, factors, constant",
+    [
+        # (x2+xy+y2)^2 = x4+2x3y+3x2y2+2xy3+y4, with each end off by one
+        ((1, 2, 3, 2, 2), (((1, 1, 1), 2),), 1),
+        ((1, 2, 3, 2, 1), (((1, 1, 1), 2),), 2),
+        ((1, 2, 3, 2, 1), (((1, 1, 2), 2),), 1),
+        # the product has the wrong total degree; the huge exponent is
+        # refused before any multiplication
+        ((1, 0, 1), (((1, 0, 1), 1), ((1, 0), 1)), 1),
+        ((1, 0, 2, 0, 1), (((1, 0, 1), 1),), 1),
+        ((1, 0, 2, 0, 1), (((1, 0, 1), 10**12),), 1),
+        ((1, 0, 0), (((1, 0), 3), ((1, 0), -1)), 1),
+    ],
+)
+def test_declared_factorization_must_multiply_out_exactly(coeffs, factors, constant):
+    with pytest.raises(FormDataError, match="multiplies out to|total degree"):
+        BinaryForm(
+            coeffs,
+            factors=tuple((BinaryForm(f), e) for f, e in factors),
+            factor_constant=constant,
+        )
+
+
+def test_native_factor_lists_build_for_every_small_form():
+    # with_found_factors rebuilds each form from its factor list, which must
+    # multiply out exactly; quartics sample the coefficient box sparsely
+    boxes = {d: itertools.product(range(-3, 4), repeat=d + 1) for d in (1, 2, 3)}
+    boxes[4] = itertools.product((-2, 0, 1, 3), repeat=5)
+    built = 0
+    for coeffs in itertools.chain(*boxes.values()):
+        if any(coeffs):
+            BinaryForm(coeffs).with_found_factors()
+            built += 1
+    for form in BUNDLED_FORMS.values():
+        form.with_found_factors()
+    assert built == 7**2 + 7**3 + 7**4 + 4**5 - 4
 
 
 @given(

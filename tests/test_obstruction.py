@@ -140,6 +140,9 @@ def test_scan_x2_y2_3_to_100():
     scan = scan_obstruction_primes(BUNDLED_FORMS["x2+y2"], 3, 100)
     assert scan.eligible_primes == (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 71, 79, 83)
     assert scan.total_primes == 24
+    assert scan.eligible == tuple(
+        obstruction_profile(BUNDLED_FORMS["x2+y2"], q) for q in scan.eligible_primes
+    )
 
 
 def test_scan_density_sum_of_squares_to_1e4():
