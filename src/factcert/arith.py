@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-# Sieving beyond this allocates too much for a desk tool; callers can raise it.
+# Sieving beyond this allocates too much for a desk tool.
 DEFAULT_SIEVE_BUDGET = 200_000_000
 
 # Residue thresholds below are exact methods either way; the split is cost only.
@@ -28,53 +28,31 @@ class SieveBudgetError(MemoryError):
     """Requested sieve limit exceeds the configured memory budget."""
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """Primes up to an inclusive limit."""
-
-    limit: int
-    primes: tuple[int, ...]
-
-    def in_range(self, lo: int, hi: int) -> list[int]:
-        """Primes p with lo <= p <= hi (hi must not exceed the table limit)."""
-        if hi > self.limit:
-            raise ValueError(f"range end {hi} exceeds table limit {self.limit}")
-        i = bisect.bisect_left(self.primes, lo)
-        j = bisect.bisect_right(self.primes, hi)
-        return list(self.primes[i:j])
-
-
-def sieve(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
-    """Eratosthenes table of all primes <= limit."""
-    if limit < 2:
-        raise ValueError("sieve limit must be at least 2")
-    if limit > budget:
-        raise SieveBudgetError(f"sieve limit {limit} exceeds budget {budget}")
+@functools.lru_cache(maxsize=8)
+def _sieve(limit: int) -> tuple[int, ...]:
+    """Eratosthenes table of all primes <= limit (limit >= 2)."""
+    if limit > DEFAULT_SIEVE_BUDGET:
+        raise SieveBudgetError(
+            f"sieve limit {limit} exceeds budget {DEFAULT_SIEVE_BUDGET}"
+        )
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             start = p * p
             flags[start::p] = bytearray((limit - start) // p + 1)
-    primes = tuple(i for i in range(limit + 1) if flags[i])
-    return PrimeTable(limit=limit, primes=primes)
-
-
-@functools.lru_cache(maxsize=8)
-def cached_sieve(limit: int) -> PrimeTable:
-    """Memoized sieve for the hot paths (trial division, prime scans)."""
-    return sieve(limit)
+    return tuple(i for i in range(limit + 1) if flags[i])
 
 
 def primes_upto(limit: int) -> tuple[int, ...]:
-    """Primes p <= limit, ascending, sliced from one shared table.
+    """Primes p <= limit, ascending: the one way to get a prime table.
 
-    The table reaches at least _SHARED_TABLE_FLOOR, so trial division, the
-    default prime budget and callers asking for many small limits (one
-    window per anchor, one factorial sketch per cell) all share it: nothing
-    sieves per limit or evicts another table from cached_sieve's LRU.
+    Every limit is sliced from a sieve that reaches at least
+    _SHARED_TABLE_FLOOR, so trial division, the default prime budget and
+    callers asking for many small limits (one window per anchor, one
+    factorial sketch per cell) all share one table.
     """
-    primes = cached_sieve(max(limit, _SHARED_TABLE_FLOOR)).primes
+    primes = _sieve(max(limit, _SHARED_TABLE_FLOOR))
     return primes[: bisect.bisect_right(primes, limit)]
 
 
@@ -94,11 +72,8 @@ _SHARED_TABLE_FLOOR = max(
 
 
 def first_primes(n: int) -> list[int]:
-    """The first n primes, ascending, from the shared table when it has them."""
-    primes = primes_upto(nth_prime_upper_bound(n))
-    if len(primes) < n:  # bound above is proven; guard anyway
-        primes = sieve(2 * nth_prime_upper_bound(n)).primes
-    return list(primes[:n])
+    """The first n primes, ascending (nth_prime_upper_bound is proven)."""
+    return list(primes_upto(nth_prime_upper_bound(n))[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +272,7 @@ def log_primorial(a: int) -> float:
     import mpmath  # imported on use, like every mpmath import (see bounds.py)
     with mpmath.workprec(_LOG_PRECISION_BITS):
         total = mpmath.mpf(0)
-        for p in cached_sieve(max(a, 2)).primes:
-            if p > a:
-                break
+        for p in primes_upto(a):
             total += mpmath.log(p)
         return float(total)
 
@@ -313,15 +286,15 @@ def primorial_bound_check(limit: int) -> list[PrimorialCheck]:
     if limit < 2:
         raise ValueError("limit must be at least 2")
     import mpmath
-    table = cached_sieve(limit)
+    primes = primes_upto(limit)
     out = []
     with mpmath.workprec(_LOG_PRECISION_BITS):
         log4 = mpmath.log(4)
         total = mpmath.mpf(0)
         idx = 0
         for a in range(2, limit + 1):
-            while idx < len(table.primes) and table.primes[idx] <= a:
-                total += mpmath.log(table.primes[idx])
+            while idx < len(primes) and primes[idx] <= a:
+                total += mpmath.log(primes[idx])
                 idx += 1
             rhs = a * log4
             out.append(

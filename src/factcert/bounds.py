@@ -25,7 +25,6 @@ from .valuation import logfact
 
 STIRLING_SCAN_CAP = 10**9
 FRONTIER_SLICE_CAP = 200_000
-_DESCENT_CAP = 2**29  # last power of two below STIRLING_SCAN_CAP
 _PRECISION_BITS = 113
 _DECISION_TOL = 1e-25  # far above 113-bit noise, far below any real margin
 
@@ -161,15 +160,11 @@ def _single_h(slope: float, ln_e: float, shift: float = 0.0):
 
 
 def _minimiser(h, hp) -> int | None:
-    """Integer minimiser of the convex h, or None while h still descends.
-
-    Steps from 1 probe powers of two, so the descent is followed only up to
-    _DESCENT_CAP: a minimiser beyond it reads as still descending.
-    """
+    """Integer minimiser of the convex h; None while h descends at the scan cap."""
     if hp(1) >= 0:
         return 1
-    k = _last_true(lambda m: hp(m) < 0, 1, _DESCENT_CAP)
-    if k == _DESCENT_CAP:
+    k = _last_true(lambda m: hp(m) < 0, 1, STIRLING_SCAN_CAP)
+    if k == STIRLING_SCAN_CAP:
         return None
     return k if h(k) <= h(k + 1) else k + 1
 
@@ -455,8 +450,8 @@ def _last_log_dfact_below(threshold_log: float) -> int:
 
     if not below(1):
         return 0
-    m = _last_true(below, 1, _DESCENT_CAP)
-    if m == _DESCENT_CAP:
+    m = _last_true(below, 1, STIRLING_SCAN_CAP)
+    if m == STIRLING_SCAN_CAP:
         raise BoundScanError("threshold exceeds double-factorial growth cap")
     return m
 

@@ -322,7 +322,8 @@ def _cell_factorials(eq, cell, single: bool) -> tuple[list[str], list[str]]:
     return decimals, sketches
 
 
-def _write_search_outputs(outdir: Path, cfg_hash: str, eq, task, report) -> dict:
+def _write_search_outputs(outdir: Path, cfg_hash: str, task, report) -> dict:
+    eq = task.equation
     outdir.mkdir(parents=True, exist_ok=True)
     single = task.single_factorial
 
@@ -389,10 +390,9 @@ def _write_search_outputs(outdir: Path, cfg_hash: str, eq, task, report) -> dict
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _build_search_task(cfg: dict) -> tuple[certify_mod.Equation, solver_mod.SearchTask]:
-    eq = build_equation(cfg)
-    task = solver_mod.SearchTask(
-        equation=eq,
+def _build_search_task(cfg: dict) -> solver_mod.SearchTask:
+    return solver_mod.SearchTask(
+        equation=build_equation(cfg),
         n_max=cfg["n_max"],
         m_min=cfg["m_min"],
         m_max=cfg["m_max"],
@@ -406,16 +406,15 @@ def _build_search_task(cfg: dict) -> tuple[certify_mod.Equation, solver_mod.Sear
         checkpoint_path=cfg["checkpoint"],
         workers=cfg["workers"],
     )
-    return eq, task
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     cfg_hash = config_hash(cfg)
-    eq, task = _build_search_task(cfg)
+    task = _build_search_task(cfg)
     report = solver_mod.run_search(task)
     outdir = Path(cfg["out"] or f"runs/{cfg_hash[:12]}")
-    summary = _write_search_outputs(outdir, cfg_hash, eq, task, report)
+    summary = _write_search_outputs(outdir, cfg_hash, task, report)
 
     print(f"# config {cfg_hash}")
     totals = summary["totals"]
@@ -643,7 +642,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     cfg_hash = config_hash(cfg)
     report = solver_mod.run_search(task)
     outdir = Path(args.out or f"runs/{name.lower()}")
-    _write_search_outputs(outdir, cfg_hash, task.equation, task, report)
+    _write_search_outputs(outdir, cfg_hash, task, report)
 
     found = {r.cell: r.witness for r in report.solutions}
     unknown = report.totals.get("UNKNOWN", 0)

@@ -69,44 +69,29 @@ def _shift(coeffs, t: int) -> tuple:
     return tuple(work)
 
 
-def _divmod_frac(p, q):
-    """Exact division over Q; returns (quotient, remainder) as Fraction tuples."""
+def _pseudo_divmod(p, q) -> tuple[int, tuple, tuple]:
+    """Integer pseudo-division: (k, Q, R) with lead(q)^k * p == Q*q + R.
+
+    Each of the k steps scales by lead(q) and cancels the leading term, so R
+    has lower degree than q. Over Q, p / q has quotient Q / lead(q)^k and
+    remainder R / lead(q)^k.
+    """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = Fraction(q[0])
-    while len(rem) >= len(q) and any(rem):
-        if rem[0] == 0:
-            rem.pop(0)
-            continue
-        k = len(rem) - len(q)
-        f = rem[0] / lead
-        quo[len(quo) - 1 - k] = f
-        for i, c in enumerate(q):
-            rem[i] -= f * c
-        rem.pop(0)
-    while rem and rem[0] == 0:
-        rem.pop(0)
-    return tuple(quo), tuple(rem)
-
-
-def _pseudo_rem(p, q) -> tuple:
-    """Pseudo-remainder of integer polynomials (content-insensitive)."""
-    dp, dq = _degree(p), _degree(q)
     lead = q[0]
-    rem = list(p)
-    for _ in range(dp - dq + 1):
-        if len(rem) < len(q):
-            break
+    rem = _trim(p)
+    quo = [0] * max(0, len(rem) - len(q) + 1)
+    k = 0
+    while len(rem) >= len(q):
         head = rem[0]
-        rem = [lead * c for c in rem]
-        for i in range(len(q)):
-            rem[i] -= head * q[i]
-        rem.pop(0)
-        while rem and rem[0] == 0:
-            rem.pop(0)
-    return tuple(rem)
+        quo = [lead * c for c in quo]
+        quo[len(q) - len(rem) - 1] += head  # index -1-s holds x^s, s = deg rem - deg q
+        work = [lead * c for c in rem]
+        for i, c in enumerate(q):
+            work[i] -= head * c
+        rem = _trim(work)
+        k += 1
+    return k, tuple(quo), rem
 
 
 def _primitive(coeffs) -> tuple:
@@ -125,8 +110,7 @@ def _gcd_degree(p, q) -> int:
     if not q:
         return _degree(p)
     while q:
-        r = _primitive(_pseudo_rem(p, q))
-        p, q = q, r
+        p, q = q, _primitive(_pseudo_divmod(p, q)[2])
     return _degree(p)
 
 
@@ -308,40 +292,33 @@ class BinaryForm:
         return form_text(self.coeffs)
 
 
-def poly_text(coeffs, var: str) -> str:
-    d = _degree(coeffs)
-    parts = []
+def _power(var: str, e: int) -> str:
+    return var + (f"^{e}" if e > 1 else "") if e else ""
+
+
+def _terms_text(coeffs, monomial) -> str:
+    """Signed sum of the nonzero terms; monomial(i) spells the i-th one's variables."""
+    out = ""
     for i, c in enumerate(coeffs):
         if c == 0:
             continue
-        e = d - i
-        body = var + (f"^{e}" if e > 1 else "") if e else ""
-        mag = "" if abs(c) == 1 and e else str(abs(c))
-        parts.append(("-" if c < 0 else "+", mag + body if body else str(abs(c))))
-    if not parts:
-        return "0"
-    head = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    return head + "".join(f" {s} {b}" for s, b in parts[1:])
+        body = monomial(i)
+        term = ("" if abs(c) == 1 and body else str(abs(c))) + body
+        if out:
+            out += (" - " if c < 0 else " + ") + term
+        else:
+            out = ("-" if c < 0 else "") + term
+    return out or "0"
+
+
+def poly_text(coeffs, var: str) -> str:
+    d = _degree(coeffs)
+    return _terms_text(coeffs, lambda i: _power(var, d - i))
 
 
 def form_text(coeffs) -> str:
     d = _degree(coeffs)
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        xe, ye = d - i, i
-        body = ""
-        if xe:
-            body += "x" + (f"^{xe}" if xe > 1 else "")
-        if ye:
-            body += "y" + (f"^{ye}" if ye > 1 else "")
-        mag = "" if abs(c) == 1 and body else str(abs(c))
-        parts.append(("-" if c < 0 else "+", mag + body if body else str(abs(c))))
-    if not parts:
-        return "0"
-    head = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    return head + "".join(f" {s} {b}" for s, b in parts[1:])
+    return _terms_text(coeffs, lambda i: _power("x", d - i) + _power("y", i))
 
 
 def clear_denominators(coeffs) -> tuple[tuple[int, ...], int]:
@@ -481,15 +458,13 @@ def _rational_roots(coeffs) -> list[Fraction]:
 
 def _divide_exact(p, q):
     """Divide integer polys exactly; raises if the division is not exact/integral."""
-    quo, rem = _divmod_frac(p, q)
-    if any(rem):
+    k, quo, rem = _pseudo_divmod(p, q)
+    if rem:
         raise ArithmeticError("inexact polynomial division")
-    out = []
-    for c in quo:
-        if c.denominator != 1:
-            raise ArithmeticError("non-integral quotient")
-        out.append(int(c))
-    return _trim(out)
+    scale = q[0] ** k
+    if any(c % scale for c in quo):
+        raise ArithmeticError("non-integral quotient")
+    return tuple(c // scale for c in quo)
 
 
 def factor_univariate(coeffs) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
@@ -520,20 +495,17 @@ def factor_univariate(coeffs) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
                 return
         factors.append((f, 1))
 
-    changed = True
-    while changed and _degree(work) >= 1:
-        changed = False
-        for r in _rational_roots(work):
-            lin = (r.denominator, -r.numerator)
+    # ascending roots, each divided out as often as it divides (Gauss keeps
+    # the primitive quotient integral)
+    for r in _rational_roots(work):
+        lin = (r.denominator, -r.numerator)
+        while True:
             try:
-                work2 = _divide_exact(work, lin)
+                quotient = _divide_exact(work, lin)
             except ArithmeticError:
-                continue
-            # dividing primitive by primitive linear keeps integrality (Gauss)
+                break
             push(lin)
-            work = _primitive(work2)
-            changed = True
-            break
+            work = _primitive(quotient)
 
     dw = _degree(work)
     if dw in (2, 3):

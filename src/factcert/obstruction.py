@@ -12,6 +12,7 @@ a rootless reduction means q never divides a represented value at all.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -273,7 +274,8 @@ def scan_obstruction_primes(target, lo: int, hi: int) -> ObstructionScan:
     """Profile every prime in [lo, hi] against the target; collect eligibles."""
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
-    primes = arith.cached_sieve(hi).in_range(lo, hi)
+    primes = arith.primes_upto(hi)
+    primes = primes[bisect.bisect_left(primes, lo) :]
     profiles = (obstruction_profile(target, q) for q in primes)
     eligible = tuple(profile for profile in profiles if profile.eligible)
     return ObstructionScan(lo=lo, hi=hi, eligible=eligible, total_primes=len(primes))

@@ -682,7 +682,6 @@ class SearchTask:
 @dataclass(frozen=True)
 class SearchReport:
     task_hash: str
-    family: str
     results: tuple[CellResult, ...]
     totals: dict
 
@@ -985,7 +984,6 @@ def run_search(task: SearchTask) -> SearchReport:
         totals[r.status.value] += 1
     return SearchReport(
         task_hash=task_hash,
-        family=task.equation.family.value,
         results=tuple(done),
         totals=totals,
     )

@@ -114,12 +114,11 @@ def product_valuation(b: int, args: Sequence[int], q: int) -> int:
     return total + sum(double_factorial_valuation(n, q) for n in args)
 
 
-def factorial_sketch(n: int, q_limit: int | None = None) -> dict[int, int]:
-    """Prime -> exponent map of n!, over primes <= n (or a lower cutoff)."""
+def factorial_sketch(n: int) -> dict[int, int]:
+    """Prime -> exponent map of n!, over primes <= n."""
     from . import arith
 
-    hi = n if q_limit is None else min(n, q_limit)
-    return {p: legendre_valuation(n, p) for p in arith.primes_upto(hi)}
+    return {p: legendre_valuation(n, p) for p in arith.primes_upto(n)}
 
 
 def double_factorial_sketch(n: int) -> dict[int, int]:

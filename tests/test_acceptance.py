@@ -238,7 +238,7 @@ def test_criterion_11_resume_determinism(tmp_path, interrupt_after):
     plain_task = SearchTask(equation=eq, n_max=20)
     baseline = run_search(plain_task)
     base_dir = tmp_path / "baseline"
-    cli._write_search_outputs(base_dir, "resume-check", eq, plain_task, baseline)
+    cli._write_search_outputs(base_dir, "resume-check", plain_task, baseline)
     base_csv = (base_dir / "results.csv").read_bytes().split(b"\r\n", 1)[1]
     base_certs = (base_dir / "certificates.json").read_bytes()
 
@@ -249,7 +249,7 @@ def test_criterion_11_resume_determinism(tmp_path, interrupt_after):
         assert ck.read_bytes().count(b"\n") == 1 + abort_at
         resumed = run_search(task)
         out = tmp_path / f"resumed{i}"
-        cli._write_search_outputs(out, "resume-check", eq, plain_task, resumed)
+        cli._write_search_outputs(out, "resume-check", plain_task, resumed)
         got_csv = (out / "results.csv").read_bytes().split(b"\r\n", 1)[1]
         assert got_csv == base_csv, f"interruption at {abort_at} cells"
         assert (out / "certificates.json").read_bytes() == base_certs

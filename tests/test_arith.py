@@ -1,5 +1,6 @@
 """Prime tables, factorization, radicals, primorial growth."""
 
+import itertools
 import math
 
 import pytest
@@ -12,30 +13,42 @@ from factcert import arith
 def _trial_primes(limit: int) -> list[int]:
     out = []
     for n in range(2, limit + 1):
-        if all(n % p for p in out if p * p <= n):
+        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, out)):
             out.append(n)
     return out
 
 
 def test_sieve_matches_trial_division():
-    table = arith.sieve(2000)
-    assert list(table.primes) == _trial_primes(2000)
+    assert list(arith._sieve(2000)) == _trial_primes(2000)
 
 
 def test_sieve_in_range_endpoints():
-    table = arith.sieve(100)
-    assert table.in_range(10, 30) == [11, 13, 17, 19, 23, 29]
-    assert table.in_range(23, 23) == [23]
-    assert table.in_range(24, 28) == []
+    # primes_upto cuts at an inclusive limit, prime or composite
+    assert arith.primes_upto(29)[-1] == 29
+    assert arith.primes_upto(28)[-1] == 23
+    assert arith.primes_upto(2) == (2,)
+    assert arith.primes_upto(1) == ()
 
 
 def test_cached_sieve_reuses_and_extends():
-    a = arith.cached_sieve(500)
-    b = arith.cached_sieve(300)
-    assert b.limit >= 300
-    assert set(p for p in b.primes if p <= 300) == set(
-        p for p in a.primes if p <= 300
-    )
+    # small limits slice the one shared table; a larger limit sieves once more
+    arith._sieve.cache_clear()
+    a = arith.primes_upto(500)
+    b = arith.primes_upto(300)
+    assert arith._sieve.cache_info().misses == 1
+    assert b == a[: len(b)] and b[-1] == 293
+    big = arith.primes_upto(arith._SHARED_TABLE_FLOOR + 1000)
+    assert big[: len(a)] == a
+    assert arith._sieve.cache_info().misses == 2
+
+
+def test_primes_upto_matches_trial_division_across_the_floor():
+    # 114,316 is the floor of the shared table: limits on both sides of it
+    expected = _trial_primes(300_000)
+    for limit in (0, 1, 2, 3, 100, 114_315, 114_316, 114_317, 200_003, 300_000):
+        got = arith.primes_upto(limit)
+        assert isinstance(got, tuple)
+        assert list(got) == [p for p in expected if p <= limit], limit
 
 
 def test_first_primes_prefix():
@@ -60,8 +73,7 @@ def test_is_prime_spot_values(n, expected):
 
 
 def test_is_prime_agrees_with_sieve():
-    table = arith.sieve(5000)
-    marks = set(table.primes)
+    marks = set(arith.primes_upto(5000))
     for n in range(2, 5001):
         assert arith.is_prime(n) is (n in marks)
 
@@ -119,7 +131,7 @@ def test_radical_spot_values():
 
 def test_log_primorial_matches_direct_sum():
     for a in (10, 100, 1000):
-        direct = sum(math.log(p) for p in arith.cached_sieve(a).primes)
+        direct = sum(math.log(p) for p in arith.primes_upto(a))
         assert math.isclose(arith.log_primorial(a), direct, rel_tol=1e-12)
 
 

@@ -163,24 +163,16 @@ def square_search(tmp_path_factory):
     return code, out
 
 
-def test_search_sieves_a_constant_number_of_tables(tmp_path, monkeypatch):
+def test_search_sieves_a_constant_number_of_tables(tmp_path):
     # window primes, factorial sketches and trial division share one table,
     # so the sieve count does not grow with the number of cells or anchors
-    limits = []
-    sieve = arith.sieve
-
-    def counting_sieve(limit):
-        limits.append(limit)
-        return sieve(limit)
-
-    monkeypatch.setattr(arith, "sieve", counting_sieve)
-    arith.cached_sieve.cache_clear()
+    arith._sieve.cache_clear()
     argv = ["search", "--form", "x2+y2", "--nmax", "30", "--out", str(tmp_path)]
     # every cell resolves: the definite solver factors the 18 cells that
     # neither a certificate nor the old x-bound loop could settle
     assert cli.main(argv) == cli.EXIT_OK
     # the default prime budget, trial division and the windows share one table
-    assert len(limits) == 1, limits
+    assert arith._sieve.cache_info().misses == 1, arith._sieve.cache_info()
 
 
 def test_search_square_snapshot(square_search):
@@ -622,6 +614,44 @@ def test_bounds_stdout_bytes_are_pinned(argv, code, digest, capsys):
     got, out, err = run_cli(["bounds", *argv], capsys)
     assert (got, err) == (code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--form", "x2+y2", "--from", "3", "--to", "100"],
+         "cb7dbce48fe15dc0a623b11e75d81a2e9c75a138991f32c021bb5a218bbb6a8c"),
+        (["--poly", "x^2-2", "--from", "3", "--to", "3000"],
+         "766732ea64067ad5c30999ba13cbd03a3440a77f932958f9d19c66194a7fea9d"),
+    ],
+)
+def test_obstruct_scan_stdout_bytes_are_pinned(argv, digest, capsys):
+    got, out, err = run_cli(["obstruct-scan", *argv], capsys)
+    assert (got, err) == (cli.EXIT_OK, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_obstruct_scan_sieve_budget_message(capsys):
+    argv = ["obstruct-scan", "--form", "x2+y2", "--from", "3", "--to", "300000000"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "error: sieve limit 300000000 exceeds budget 200000000\n"
+
+
+@pytest.mark.parametrize(
+    "slope, line",
+    [
+        # the second-index minimiser lies near 6.0e8, inside the 10^9 scan cap
+        ("22.6", "unresolved: frontier spans 43023421 slices; "
+                 "beyond exhaustive enumeration"),
+        # here it lies beyond the cap
+        ("23.2", "unresolved: second-index slope too small for the scan cap"),
+    ],
+)
+def test_bounds_stirling_minimiser_searched_to_the_scan_cap(slope, line, capsys):
+    code, out, err = run_cli(["bounds", "--stirling", f"5,{slope},0,1"], capsys)
+    assert (code, err) == (cli.EXIT_OPEN, "")
+    assert out.splitlines()[1:] == [line]
 
 
 def test_bounds_stirling_inconsistent_message(capsys):

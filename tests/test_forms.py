@@ -1,6 +1,7 @@
 """Form and polynomial plumbing: evaluation, clearing, depression, sandwich."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -183,3 +184,84 @@ def test_bundled_catalogs_shape():
         assert f.degree >= 2, name
     for name, p in BUNDLED_POLYS.items():
         assert p.degree >= 2, name
+
+
+# str() of every bundled target, spelled out: the CLI prints targets this way
+@pytest.mark.parametrize(
+    "target, text",
+    [
+        (BUNDLED_FORMS["x2+y2"], "x^2 + y^2"),
+        (BUNDLED_FORMS["x2+xy+y2"], "x^2 + xy + y^2"),
+        (BUNDLED_FORMS["x2+2y2"], "x^2 + 2y^2"),
+        (BUNDLED_FORMS["x2-2y2"], "x^2 - 2y^2"),
+        (BUNDLED_FORMS["x2+3y2"], "x^2 + 3y^2"),
+        (BUNDLED_FORMS["x4+2x2y2+y4"], "x^4 + 2x^2y^2 + y^4"),
+        (BUNDLED_FORMS["x3+2y3"], "x^3 + 2y^3"),
+        (BUNDLED_FORMS["x4+y4"], "x^4 + y^4"),
+        (BUNDLED_POLYS["x^2"], "x^2"),
+        (BUNDLED_POLYS["x^2-1"], "x^2 - 1"),
+        (BUNDLED_POLYS["x^2+1"], "x^2 + 1"),
+        (BUNDLED_POLYS["x^2-2"], "x^2 - 2"),
+        (BUNDLED_POLYS["2x^2-1"], "2x^2 - 1"),
+        (BUNDLED_POLYS["x^3-2"], "x^3 - 2"),
+        (BUNDLED_POLYS["x^3-3x^2+2x"], "x^3 - 3x^2 + 2x"),
+        (BUNDLED_POLYS["x^4-1"], "x^4 - 1"),
+        # mixed signs, unit and non-unit coefficients, a negative lead
+        (BinaryForm((-1, 0, 2, -1)), "-x^3 + 2xy^2 - y^3"),
+        (BinaryForm((2, -3, 0, 1, -5)), "2x^4 - 3x^3y + xy^3 - 5y^4"),
+        (BinaryForm((-3, 1)), "-3x + y"),
+        (BinaryForm((0, -1, 0, 1)), "-x^2y + y^3"),
+        (BinaryForm((1, -1, 1, -1, 1)), "x^4 - x^3y + x^2y^2 - xy^3 + y^4"),
+        (BinaryForm((-2, 0, 0, 0, -7)), "-2x^4 - 7y^4"),
+        (UnivariatePoly((-1, 0, 2, -1)), "-x^3 + 2x - 1"),
+        (UnivariatePoly((3, -1)), "3x - 1"),
+        (UnivariatePoly((-1,)), "-1"),
+        (UnivariatePoly((5,)), "5"),
+        (UnivariatePoly((-2, 1, -1, 0, 0)), "-2x^4 + x^3 - x^2"),
+        (UnivariatePoly((1, -1, 0)), "x^2 - x"),
+    ],
+)
+def test_targets_print_literally(target, text):
+    assert str(target) == text
+
+
+def _random_poly(rng, max_degree, bound=9):
+    coeffs = [rng.randint(-bound, bound) for _ in range(rng.randint(1, max_degree + 1))]
+    coeffs[0] = coeffs[0] or 1
+    return tuple(coeffs)
+
+
+def test_divide_exact_oracle():
+    rng = random.Random(22)
+    for _ in range(400):
+        a = _random_poly(rng, 4)
+        b = _random_poly(rng, 3)
+        ab = forms._mul(a, b)
+        assert forms._divide_exact(ab, b) == a, (a, b)
+        if len(b) > 1:
+            # a remainder of 1: b has degree >= 1, so it cannot divide a*b + 1
+            with pytest.raises(ArithmeticError):
+                forms._divide_exact(ab[:-1] + (ab[-1] + 1,), b)
+    # (x^2 - 1) / (2x - 2) = (x + 1)/2: exact over Q, not over Z
+    with pytest.raises(ArithmeticError):
+        forms._divide_exact((1, 0, -1), (2, -2))
+    with pytest.raises(ArithmeticError):
+        forms._divide_exact((3, 1), (2, 0))
+
+
+def test_distinct_root_count_oracle():
+    rng = random.Random(7)
+    quadratics = [(1, 0, 1), (1, 0, -2), (1, 1, 1), (2, 0, 3)]  # irreducible over Q
+    for _ in range(300):
+        roots = rng.sample(range(-6, 7), rng.randint(1, 3))
+        coeffs = (rng.choice([-3, -2, -1, 1, 2, 5]),)
+        for r in roots:
+            for _ in range(rng.randint(1, 3)):
+                coeffs = forms._mul(coeffs, (1, -r))
+        expected = len(roots)
+        if rng.random() < 0.5:
+            quad = rng.choice(quadratics)
+            for _ in range(rng.randint(1, 2)):
+                coeffs = forms._mul(coeffs, quad)
+            expected += 2
+        assert distinct_root_count(UnivariatePoly(coeffs)) == expected, coeffs

@@ -48,7 +48,7 @@ def test_eligibility_matches_kronecker_for_pell_forms():
     # x^2 - D y^2 is rootless mod q exactly when D is a non-residue
     for d in (2, 3, 5, 7, 11):
         f = BinaryForm((1, 0, -d))
-        for q in arith.cached_sieve(200).primes:
+        for q in arith.primes_upto(200):
             profile = obstruction_profile(f, q)
             if q == 2 or d % q == 0:
                 assert not profile.eligible, (d, q)
@@ -89,7 +89,7 @@ def _scan_has_root(coeffs, q):
 
 def test_has_root_mod_q_matches_residue_scan():
     rng = random.Random(15)
-    primes = arith.cached_sieve(400).primes
+    primes = arith.primes_upto(400)
     polys = [tuple(rng.randint(-50, 50) for _ in range(rng.randint(2, 7))) for _ in range(40)]
     polys += [(3, 0, 1), (1, 0, -2), (1, 0, 0, 0, 0, 0, -1)]
     for coeffs in polys:
@@ -115,7 +115,7 @@ def test_profiles_pinned_below_3000():
     targets = [*BUNDLED_FORMS.values(), *BUNDLED_POLYS.values(), MULTIPLICITY_FORM]
     h = hashlib.sha256()
     for target in targets:
-        for q in arith.cached_sieve(2999).primes:
+        for q in arith.primes_upto(2999):
             p = obstruction_profile(target, q)
             row = (q, p.eligible, p.forced_exponent, p.reason, p.unbounded,
                    p.total_degree, p.univariate)
@@ -142,6 +142,29 @@ def test_scan_x2_y2_3_to_100():
     assert scan.total_primes == 24
     assert scan.eligible == tuple(
         obstruction_profile(BUNDLED_FORMS["x2+y2"], q) for q in scan.eligible_primes
+    )
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (7, 97),             # both ends prime
+        (8, 96),             # both ends composite
+        (3, 100),            # prime start, composite end
+        (4, 97),             # composite start, prime end
+        (97, 97),            # equal and prime
+        (96, 96),            # equal and composite: no prime at all
+        (2, 2),
+        (114_300, 114_400),  # across the shared table's floor
+    ],
+)
+def test_scan_slices_every_prime_in_range(lo, hi):
+    form = BUNDLED_FORMS["x2+y2"]
+    primes = [q for q in range(lo, hi + 1) if arith.is_prime(q)]  # Miller-Rabin
+    scan = scan_obstruction_primes(form, lo, hi)
+    assert scan.total_primes == len(primes)
+    assert scan.eligible_primes == tuple(
+        q for q in primes if obstruction_profile(form, q).eligible
     )
 
 

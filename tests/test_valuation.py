@@ -130,11 +130,3 @@ def test_double_factorial_sketch_reconstructs():
         for p, e in sketch.items():
             prod *= p**e
         assert prod == valuation.double_factorial_exact(n)
-
-
-def test_factorial_sketch_q_limit_truncates():
-    full = valuation.factorial_sketch(50)
-    cut = valuation.factorial_sketch(50, q_limit=10)
-    assert set(cut) == {p for p in full if p <= 10}
-    for p in cut:
-        assert cut[p] == full[p]
