@@ -23,6 +23,7 @@ import enum
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -300,46 +301,74 @@ def _budget_primorial(prime_budget: int) -> int:
     return math.prod(arith.first_primes(prime_budget))
 
 
-def _sum_cofactor(eq: Equation, n: int, m: int) -> int:
-    """C = a*(m+1)*...*n + b, so that a*n! + b*m! = m! * C."""
-    return eq.a * math.prod(range(m + 1, n + 1)) + eq.b
+def _left_rest(eq: Equation, cell: tuple[int, ...]) -> int:
+    """The rest C of left side = factorial part * C.
+
+    The factorial part's primes are at most the cell's anchor.  Sum cells
+    read a*n! + b*m! = m! * C with C = a*(m+1)*...*n + b, which is a + b on
+    the diagonal; product cells read b * n1!! * ... * nr!!, so C = b.
+    """
+    if eq.is_sum:
+        n, m = cell
+        return eq.a * math.prod(range(m + 1, n + 1)) + eq.b
+    return eq.b
 
 
-# Complete cofactor factorizations of the last two cells, by (eq, n, m,
+# Complete rest factorizations of the last two cells, by (eq, cell,
 # rho_steps); one that stop ended early is never stored.
-_COFACTOR_CACHE: dict[tuple, tuple[dict[int, int], list[int]]] = {}
+_REST_CACHE: dict[tuple, tuple[dict[int, int], list[int]]] = {}
 
 
-def cofactor_factorization(
+def rest_factorization(
     eq: Equation,
-    n: int,
-    m: int,
+    cell: tuple[int, ...],
     rho_steps: int,
     stop: Callable[[int], bool] | None = None,
 ) -> tuple[dict[int, int], list[int]] | None:
-    """Budgeted factorization of |C| (see _sum_cofactor): (primes, unfactored).
+    """Budgeted factorization of |C| (see _left_rest): (primes, unfactored).
 
-    As arith.partial_factor, stop included, except that past
-    RHO_COFACTOR_GAP_LIMIT nothing is tried and |C| comes back whole as
-    unfactored.  Complete results are kept for the last two cells: the
-    certifier's rho route factors with a stop, and when no prime certified
-    the solver's exact solve of the same cell reuses its result, so rho runs
-    once per cell.  A call with stop always factors afresh, since the order
-    in which primes are proven decides which certificate is found.
+    As arith.partial_factor, stop included, except that for a sum cell whose
+    gap n - m exceeds RHO_COFACTOR_GAP_LIMIT nothing is tried and |C| comes
+    back whole as unfactored.  Complete results are kept for the last two
+    cells: the certifier's rho route factors with a stop, and when no prime
+    certified the solver's exact solve of the same cell reuses its result,
+    so rho runs once per cell.  A call with stop always factors afresh,
+    since the order in which primes are proven decides which certificate is
+    found.
     """
-    key = (eq, n, m, rho_steps)
-    if stop is None and key in _COFACTOR_CACHE:
-        return _COFACTOR_CACHE[key]
-    cofactor = abs(_sum_cofactor(eq, n, m))
-    if n - m > RHO_COFACTOR_GAP_LIMIT:
-        result = {}, [cofactor]
+    key = (eq, cell, rho_steps)
+    if stop is None and key in _REST_CACHE:
+        return _REST_CACHE[key]
+    rest = abs(_left_rest(eq, cell))
+    if eq.is_sum and cell[0] - cell[1] > RHO_COFACTOR_GAP_LIMIT:
+        result = {}, [rest]
     else:
-        result = arith.partial_factor(cofactor, rho_steps=rho_steps, stop=stop)
+        result = arith.partial_factor(rest, rho_steps=rho_steps, stop=stop)
     if result is not None:
-        _COFACTOR_CACHE[key] = result
-        if len(_COFACTOR_CACHE) > 2:
-            del _COFACTOR_CACHE[next(iter(_COFACTOR_CACHE))]
+        _REST_CACHE[key] = result
+        if len(_REST_CACHE) > 2:
+            del _REST_CACHE[next(iter(_REST_CACHE))]
     return result
+
+
+def left_factorization(
+    eq: Equation, cell: Sequence[int], rho_steps: int
+) -> tuple[dict[int, int], list[int]]:
+    """(prime exponents, unfactored pieces) of |left side| at a nonzero cell.
+
+    The factorial part (m! for sum cells, each ni!! for product cells)
+    factors by Legendre; the rest C comes from rest_factorization, so rho
+    runs once per cell, under rho_steps.
+    """
+    cell = eq.normalize_cell(cell)
+    rest_exps, leftovers = rest_factorization(eq, cell, rho_steps)
+    exps = Counter(rest_exps)
+    if eq.is_sum:
+        exps.update(valuation.factorial_sketch(cell[1]))
+    else:
+        for c in cell:
+            exps.update(valuation.double_factorial_sketch(c))
+    return dict(exps), leftovers
 
 
 def certify_cell(
@@ -358,13 +387,13 @@ def certify_cell(
     not divide C, where C = a*(m+1)*...*n + b for sum cells and C = b for
     product cells: the left side is anchor-smooth apart from C, so such q
     has v_q(left) = 0, which admits no rule.  The budgeted primes dividing C
-    come from one gcd of C with their product.  For sum cells the last
-    stage is budgeted factorization of C, and each prime is tried as soon as
-    the factorization proves it (after trial division, then after each rho
-    split, ascending within each); the first certificate ends it, so rho
-    does no work past the prime that certifies.  For product cells it is the
-    prime factors of b, ascending.  The order only affects which certificate
-    is found first, never its validity.
+    come from one gcd of C with their product.  The last stage, for both
+    families, is rest_factorization of C under rho_steps (rho_steps = 0
+    skips it), and each prime is tried as soon as the factorization proves
+    it (after trial division, then after each rho split, ascending within
+    each); the first certificate ends it, so rho does no work past the
+    prime that certifies.  The order only affects which certificate is
+    found first, never its validity.
     """
     cell = eq.normalize_cell(cell)
     if left_is_zero(eq, cell):
@@ -403,8 +432,7 @@ def certify_cell(
             continue
         if q > anchor:
             if unvisited is None:
-                rest = _sum_cofactor(eq, *cell) if eq.is_sum else eq.b
-                g = math.gcd(_budget_primorial(prime_budget), rest)
+                g = math.gcd(_budget_primorial(prime_budget), _left_rest(eq, cell))
                 # g is squarefree; dividing out gcd(g, anchor!) drops its
                 # primes <= anchor.
                 unvisited = g // math.gcd(g, math.factorial(anchor))
@@ -427,16 +455,11 @@ def certify_cell(
             cert = _attempt(q, note)
         return cert is not None
 
-    if not eq.is_sum:
-        # Every prime in the left side divides some n_i!! or b; the scan above
-        # covered everything up to max(anchor, budget), so only large prime
-        # factors of b remain.
-        for q in sorted(arith.factor(eq.b)):
-            if _try_beyond_scan(q):
-                break
-    elif rho_steps > 0:
-        # Each prime is tried as soon as it is proven; a certificate stops rho.
-        cofactor_factorization(eq, *cell, rho_steps, stop=_try_beyond_scan)
+    if rho_steps > 0:
+        # The scan above covered every prime up to max(anchor, budget), so
+        # only large primes of C remain.  Each is tried as soon as it is
+        # proven; a certificate stops rho.
+        rest_factorization(eq, cell, rho_steps, stop=_try_beyond_scan)
     return cert
 
 
@@ -463,11 +486,8 @@ def recheck(cert: Certificate, *, deep: bool = False) -> bool:
         if left_is_zero(eq, cell):
             return False
 
-        if eq.is_sum and cell[0] <= RECHECK_EXACT_LIMIT:
-            big = left_value(eq, cell)
-            if big == 0:
-                return False
-            v, t = 0, abs(big)
+        if max(cell) <= RECHECK_EXACT_LIMIT:
+            v, t = 0, abs(left_value(eq, cell))
             while t % q == 0:
                 t //= q
                 v += 1

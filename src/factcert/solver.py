@@ -16,19 +16,18 @@ import itertools
 import json
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
-from . import arith, valuation
+from . import arith
 from .arith import DEFAULT_RHO_STEPS
 from .certify import (
     DEFAULT_PRIME_BUDGET,
     Certificate,
     Equation,
     certify_cell,
-    cofactor_factorization,
+    left_factorization,
     left_is_zero,
     left_value,
 )
@@ -562,10 +561,13 @@ class SearchTask:
     diagonal when include_diagonal is set, where the equation reduces to the
     (a+b)*n! family).  single_factorial walks (n,) cells solving n! =
     poly(x) exactly.  Product families walk multisets bounded by
-    prod_bounds.  Budgets: prime_budget and rho_steps feed the certifier
-    (rho_steps also bounds the factoring a definite quadratic solve uses;
-    the certifier stops factoring at the first prime that certifies),
-    ball_cap limits enumeration radii and the ideals a definite solve tries.
+    prod_bounds.  Budgets: prime_budget feeds the certifier; rho_steps
+    bounds each rho run on the left side's rest C (a*(m+1)*...*n + b, so
+    a + b on the diagonal, and b for product cells), both in the certifier,
+    which stops at the first prime that certifies, and in a definite
+    quadratic solve, where a piece left unsplit makes the cell UNKNOWN
+    (unfactored); rho_steps = 0 runs no rho at all.  ball_cap limits
+    enumeration radii and the ideals a definite solve tries.
     checkpoint_path names a JSON-lines file that gets one line per cell as
     the cell completes; rerunning the same task with it resumes where the
     file ends (see run_search).  An option the chosen walk does not
@@ -736,38 +738,12 @@ def _solve_exact(
     return CellStatus.UNKNOWN, None, "ball_exhausted"
 
 
-def _left_factorization(task: SearchTask, cell) -> tuple[dict[int, int], list[int]]:
-    """(prime exponents, unfactored pieces) of |left side| at a binary-form cell.
-
-    Factorials and double factorials factor by Legendre.  An off-diagonal sum
-    cell's left side is m! * C, and C's budgeted factorization comes from the
-    certifier's cache, so rho runs once per cell, under the same rho_steps
-    and RHO_COFACTOR_GAP_LIMIT.
-    """
-    eq = task.equation
-    exps: Counter = Counter()
-    leftovers: list[int] = []
-    if not eq.is_sum:
-        exps.update(arith.factor(eq.b))
-        for c in cell:
-            exps.update(valuation.double_factorial_sketch(c))
-    elif cell[0] == cell[1]:
-        exps.update(arith.factor(eq.a + eq.b))
-        exps.update(valuation.factorial_sketch(cell[0]))
-    else:
-        n, m = cell
-        cofactor_exps, leftovers = cofactor_factorization(eq, n, m, task.rho_steps)
-        exps.update(cofactor_exps)
-        exps.update(valuation.factorial_sketch(m))
-    return dict(exps), leftovers
-
-
 def _solve_cell(task: SearchTask, cell, value: int, note: str) -> CellResult:
     """Exact solving of one left-side value; a witness is re-evaluated."""
     target = task.equation.target
     factorization = None
     if isinstance(target, BinaryForm) and is_positive_definite(target):
-        factorization = _left_factorization(task, cell)
+        factorization = left_factorization(task.equation, cell, task.rho_steps)
     status, witness, solve_note = _solve_exact(
         task.equation, value, task.ball_cap, factorization
     )
@@ -801,8 +777,7 @@ def classify_cell(task: SearchTask, cell: tuple[int, ...]) -> CellResult:
             return CellResult(
                 cell, CellStatus.DEGENERATE, note="identically_zero_family"
             )
-        value = (eq.a + eq.b) * math.factorial(cell[0])
-        return _solve_cell(task, cell, value, "diagonal_reduced")
+        return _solve_cell(task, cell, left_value(eq, cell), "diagonal_reduced")
 
     if left_is_zero(eq, cell):
         return CellResult(cell, CellStatus.DEGENERATE, note="zero_left_side")

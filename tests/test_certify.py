@@ -146,6 +146,23 @@ def test_recheck_rejects_tampering(mutate):
     assert not recheck(tampered)
 
 
+def test_recheck_divides_small_product_left_side(monkeypatch):
+    # a small product cell's valuation comes from the left side itself, not
+    # from product_valuation, which made the certificate
+    eq = Equation.product_binary(3, (1, 0, 1))
+    cert = certify_cell(eq, (9, 4))
+    assert cert is not None
+
+    def refuse(*args):
+        raise AssertionError("recheck called product_valuation")
+
+    monkeypatch.setattr(valuation, "product_valuation", refuse)
+    assert recheck(cert, deep=True)
+    data = cert.to_dict()
+    data["valuation"] += 1
+    assert not recheck(Certificate.from_dict(data))
+
+
 def test_zero_left_side_raises():
     eq = Equation.sum_binary(1, -1, (1, 0, 1))
     with pytest.raises(ZeroLeftSideError):
@@ -160,9 +177,9 @@ def test_diagonal_cell_rejected(cell):
 
 def _reference_certify(eq, cell, prime_budget, rho_steps=0):
     """The unfiltered scan: every window prime, then every budgeted prime,
-    then the prime factors of b (product cells) or, with rho_steps > 0, of
-    the whole cofactor (sum cells), each cofactor valuation found by
-    dividing the left side itself."""
+    then, with rho_steps > 0, the primes partial_factor finds in b (product
+    cells) or in the whole cofactor (sum cells), each cofactor valuation
+    found by dividing the left side itself."""
     tried = set()
 
     def attempt(q, notes):
@@ -192,14 +209,14 @@ def _reference_certify(eq, cell, prime_budget, rho_steps=0):
             cert = attempt(q, ())
             if cert is not None:
                 return cert
-    if not eq.is_sum:
-        exponents, note = arith.factor(eq.b), ("multiplier_factor",)
-    elif rho_steps <= 0:
+    if rho_steps <= 0:
         return None
-    else:
-        cofactor = left_value(eq, cell) // math.factorial(cell[1])
-        exponents, _ = arith.partial_factor(cofactor, rho_steps=rho_steps)
+    if eq.is_sum:
+        rest = left_value(eq, cell) // math.factorial(cell[1])
         note = ("cofactor_factor",)
+    else:
+        rest, note = eq.b, ("multiplier_factor",)
+    exponents, _ = arith.partial_factor(rest, rho_steps=rho_steps)
     for q in sorted(exponents):
         if q > budget[-1] and q not in tried:
             cert = attempt(q, note)
@@ -250,8 +267,27 @@ def test_rho_route_matches_reference(eq):
     assert routed >= 20
 
 
+@pytest.mark.parametrize("rho_steps", [0, arith.DEFAULT_RHO_STEPS])
+def test_left_factorization_multiplies_back(rho_steps):
+    # prod p^e * prod leftovers == |left side| on off-diagonal, diagonal and
+    # product cells
+    sums = [Equation.sum_binary(a, b, (1, 0, 1))
+            for a, b in ((1, 1), (2, 3), (1, -7), (-1, 5))]
+    products = [Equation.product_binary(b, (1, 0, 1)) for b in (1, 6, -15)]
+    cells = [(eq, (n, m)) for eq in sums for n in range(13) for m in range(n + 1)]
+    cells += [(eq, (n1, n2)) for eq in products
+              for n1 in range(13) for n2 in range(n1 + 1)]
+    for eq, cell in cells:
+        if left_is_zero(eq, cell):
+            continue
+        exps, leftovers = certify.left_factorization(eq, cell, rho_steps)
+        got = math.prod(p**e for p, e in exps.items()) * math.prod(leftovers)
+        assert got == abs(left_value(eq, cell)), (eq.a, eq.b, cell)
+
+
 # 107 and 1307 are eligible for all three targets below (3 mod 4, 2 mod 3,
-# 3 mod 8); 107 lies inside the budget of 200 primes, 1307 beyond it.
+# 3 mod 8); 107 lies inside the budget of 200 primes, 1307 beyond it, where
+# only the factoring stage reaches it, and rho_steps = 0 skips that stage.
 @pytest.mark.parametrize("b", [1, -6, 107, 2 * 1307])
 @pytest.mark.parametrize(
     "make",
@@ -265,15 +301,19 @@ def test_rho_route_matches_reference(eq):
 def test_product_filter_matches_reference_scan(make, b):
     eq = make(b)
     budget = 200
-    primes = set()
-    for n1 in range(13):
-        for n2 in range(n1 + 1):
-            got = certify_cell(eq, (n1, n2), prime_budget=budget)
-            want = _reference_certify(eq, (n1, n2), budget)
-            assert (got and got.to_dict()) == (want and want.to_dict()), (n1, n2)
-            primes.add(got and got.prime)
-    if b == 107:  # certified by a q > max(cell) that divides b
-        assert 107 in primes
+    for rho_steps in (0, arith.DEFAULT_RHO_STEPS):
+        primes = set()
+        for n1 in range(13):
+            for n2 in range(n1 + 1):
+                cell = (n1, n2)
+                got = certify_cell(eq, cell, prime_budget=budget, rho_steps=rho_steps)
+                want = _reference_certify(eq, cell, budget, rho_steps)
+                assert (got and got.to_dict()) == (want and want.to_dict()), cell
+                primes.add(got and got.prime)
+        if b == 107:  # certified by a q > max(cell) that divides b
+            assert 107 in primes
+        if b == 2 * 1307:  # reached by the factoring stage only
+            assert (1307 in primes) == (rho_steps > 0)
 
 
 def _count_exhausted_rho(monkeypatch) -> list:

@@ -303,3 +303,8 @@ def test_content_prime_ineligible():
         profile = obstruction_profile(f, q)
         assert not profile.eligible
         assert profile.forced_exponent is None and profile.reason is None
+    # factor_constant is 1 and the one line is squared, so at q = 2 only the
+    # test that q divides both of the line's coefficients rules q out; at
+    # q = 3 the line has a zero and the multiplicity pattern holds
+    profile = obstruction_profile(non_primitive, 3)
+    assert (profile.eligible, profile.forced_exponent) == (True, 2)

@@ -465,15 +465,35 @@ def test_rho_runs_once_per_cell(monkeypatch):
 
     monkeypatch.setattr(arith, "_pollard_brent", counting_brent)
     cell = (45, 1)
-    certify._COFACTOR_CACHE.clear()
+    certify._REST_CACHE.clear()
     assert certify.certify_cell(SUM_SQUARES, cell) is None
     alone = len(exhausted)
     assert alone >= 1
     exhausted.clear()
-    certify._COFACTOR_CACHE.clear()
+    certify._REST_CACHE.clear()
     res = classify_cell(SearchTask(equation=SUM_SQUARES, n_max=45), cell)
     assert (res.status, res.note) == (CellStatus.UNKNOWN, "unfactored")
     assert len(exhausted) == alone
+
+
+def test_semiprime_multiplier_stays_within_rho_budget(monkeypatch):
+    # b = (10^15 + 37)(10^15 + 91): rho cannot split it in 1000 steps, so the
+    # product cell (2,) ends unfactored instead of factoring b without bound
+    seen = []
+    brent = arith._pollard_brent
+
+    def counting_brent(n, max_steps):
+        seen.append(max_steps)
+        return brent(n, max_steps)
+
+    monkeypatch.setattr(arith, "_pollard_brent", counting_brent)
+    eq = Equation.product_binary((10**15 + 37) * (10**15 + 91), (1, 0, 1))
+    cell = (2,)
+    assert certify.certify_cell(eq, cell, rho_steps=1000) is None
+    task = SearchTask(equation=eq, prod_bounds=(3,), rho_steps=1000)
+    res = classify_cell(task, cell)
+    assert (res.status, res.note) == (CellStatus.UNKNOWN, "unfactored")
+    assert seen and max(seen) <= 1000
 
 
 def test_stopped_factorization_never_reaches_solve_tail():
@@ -481,11 +501,11 @@ def test_stopped_factorization_never_reaches_solve_tail():
     # so the certifier's run stops early and must leave the cache as it was
     cell = (50, 1)
     task = SearchTask(equation=SUM_SQUARES, n_max=50)
-    certify._COFACTOR_CACHE.clear()
-    want = solver._left_factorization(task, cell)
-    certify._COFACTOR_CACHE.clear()
+    certify._REST_CACHE.clear()
+    want = certify.left_factorization(SUM_SQUARES, cell, task.rho_steps)
+    certify._REST_CACHE.clear()
     assert certify.certify_cell(SUM_SQUARES, cell).notes == ("cofactor_factor",)
-    assert solver._left_factorization(task, cell) == want
+    assert certify.left_factorization(SUM_SQUARES, cell, task.rho_steps) == want
 
 
 def test_solution_sup_bound_contains_solutions():
