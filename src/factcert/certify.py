@@ -314,9 +314,10 @@ def _left_rest(eq: Equation, cell: tuple[int, ...]) -> int:
     return eq.b
 
 
-# Complete rest factorizations of the last two cells, by (eq, cell,
-# rho_steps); one that stop ended early is never stored.
-_REST_CACHE: dict[tuple, tuple[dict[int, int], list[int]]] = {}
+# Complete factorizations of the last two rests, by (|C|, rho_steps), each
+# with its primes in the order partial_factor proved them; a run that stop
+# ended early is never stored.
+_REST_CACHE: dict[tuple[int, int], tuple[tuple, list[int]]] = {}
 
 
 def rest_factorization(
@@ -330,22 +331,32 @@ def rest_factorization(
     As arith.partial_factor, stop included, except that for a sum cell whose
     gap n - m exceeds RHO_COFACTOR_GAP_LIMIT nothing is tried and |C| comes
     back whole as unfactored.  Complete results are kept for the last two
-    cells: the certifier's rho route factors with a stop, and when no prime
-    certified the solver's exact solve of the same cell reuses its result,
-    so rho runs once per cell.  A call with stop always factors afresh,
-    since the order in which primes are proven decides which certificate is
-    found.
+    values of |C|, so rho runs once per distinct rest: once per sum cell
+    (the certifier's stopped run, then the solver's exact solve when no
+    prime certified), and once per product grid, whose rest is b in every
+    cell.  A cached result answers a call with stop too: stop sees the
+    stored primes in the order the factorization proved them and the call
+    returns None at the first one it accepts, as a fresh run would, so the
+    certificate found is the same.
     """
-    key = (eq, cell, rho_steps)
-    if stop is None and key in _REST_CACHE:
-        return _REST_CACHE[key]
     rest = abs(_left_rest(eq, cell))
     if eq.is_sum and cell[0] - cell[1] > RHO_COFACTOR_GAP_LIMIT:
-        result = {}, [rest]
-    else:
-        result = arith.partial_factor(rest, rho_steps=rho_steps, stop=stop)
+        return {}, [rest]
+    key = (rest, rho_steps)
+    if key in _REST_CACHE:
+        result, proven = _REST_CACHE[key]
+        if stop is not None and any(stop(p) for p in proven):
+            return None
+        return result
+    proven = []
+
+    def _record(p: int) -> bool:
+        proven.append(p)
+        return stop is not None and stop(p)
+
+    result = arith.partial_factor(rest, rho_steps=rho_steps, stop=_record)
     if result is not None:
-        _REST_CACHE[key] = result
+        _REST_CACHE[key] = result, proven
         if len(_REST_CACHE) > 2:
             del _REST_CACHE[next(iter(_REST_CACHE))]
     return result

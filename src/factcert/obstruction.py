@@ -315,6 +315,14 @@ def verify_forced_exponent(form: BinaryForm, q: int) -> bool:
     vacuously.  Budgeted at q <= 200.  The answer depends only on (form, q),
     so the scan runs once per (form, q) per process; an over-budget q raises
     on every call.
+
+    Values are taken mod q^K, where K is the least valuation the rule admits
+    whatever it is: the forced exponent for the no-root rule, the total
+    degree for the multiplicity rule.  For r = f(x,y) mod q^K, r == 0 exactly
+    when v_q(f(x,y)) >= K (f(x,y) == 0 included), and otherwise v_q(r) is the
+    exact v_q(f(x,y)) < K, so the rule sees the same verdict as from the
+    exact valuation.  Each row y = y0 + q*b folds y^i into coeffs[i] once,
+    then Horner runs over x = x0 + q*a, as in _residue_roots.
     """
     if q > VERIFY_PRIME_LIMIT:
         raise ValueError(f"exhaustive verification budgeted at q <= {VERIFY_PRIME_LIMIT}")
@@ -324,19 +332,24 @@ def verify_forced_exponent(form: BinaryForm, q: int) -> bool:
     e_forced = profile.forced_exponent
     d_total = profile.total_degree
     multiple_rule = profile.reason == REASON_LINEAR_MULTIPLICITY
+    coeffs = form.coeffs
+    modulus = q ** (d_total if multiple_rule else e_forced)
     for x0, y0 in _residue_roots(form, q):
-        for a in range(q):
-            x = x0 + q * a
-            for b in range(q):
-                val = form.evaluate(x, y0 + q * b)
+        for b in range(q):
+            y = y0 + q * b
+            folded = [c * pow(y, i, modulus) % modulus for i, c in enumerate(coeffs)]
+            for a in range(q):
+                x = x0 + q * a
+                val = 0
+                for c in folded:
+                    val = val * x + c
+                val %= modulus
                 if val == 0:
-                    continue
+                    continue  # v >= K
                 v = 0
                 while val % q == 0:
                     val //= q
                     v += 1
-                    if v >= d_total and multiple_rule:
-                        break
                 if multiple_rule:
                     if v % e_forced != 0 and v < d_total:
                         return False

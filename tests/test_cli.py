@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import factcert
-from factcert import arith, cli, obstruction
+from factcert import arith, certify, cli, obstruction
 from factcert.certify import Equation, Family
 from factcert.forms import BUNDLED_FORMS
 
@@ -223,6 +223,47 @@ def test_search_rerun_is_deterministic_modulo_timestamp(square_search, tmp_path)
     assert (first_out / "certificates.json").read_bytes() == (
         second / "certificates.json"
     ).read_bytes()
+
+
+def test_product_search_factors_its_rest_once(tmp_path, capsys, monkeypatch):
+    # every product cell's rest is b = (10^15 + 37)(10^15 + 91), which 1000
+    # rho steps cannot split: the cached run factors it once and replays it
+    # for the later cells; clearing the cache before every cell factors it
+    # once per uncertified cell, and the outputs must not tell them apart
+    b = (10**15 + 37) * (10**15 + 91)
+    rho_runs = []
+    brent = arith._pollard_brent
+
+    def counting_brent(n, max_steps):
+        rho_runs.append(n)
+        return brent(n, max_steps)
+
+    monkeypatch.setattr(arith, "_pollard_brent", counting_brent)
+    monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00Z")
+    argv = ["search", "--family", "prod", "--form", "x2+y2", "--b", str(b),
+            "--prod-bounds", "3", "--rho-steps", "1000"]
+    certify_cell = cli.solver_mod.certify_cell
+
+    def uncached_certify_cell(*args, **kwargs):
+        certify._REST_CACHE.clear()
+        return certify_cell(*args, **kwargs)
+
+    outputs = {}
+    for name in ("cached", "uncached"):
+        if name == "uncached":
+            monkeypatch.setattr(cli.solver_mod, "certify_cell", uncached_certify_cell)
+        certify._REST_CACHE.clear()
+        rho_runs.clear()
+        code, _, _ = run_cli([*argv, "--out", str(tmp_path / name)], capsys)
+        assert code == cli.EXIT_OPEN
+        outputs[name] = {
+            f: (tmp_path / name / f).read_bytes()
+            for f in ("results.csv", "summary.json", "certificates.json")
+        }
+        uncertified = (tmp_path / name / "results.csv").read_text().count("UNKNOWN")
+        assert uncertified == 3
+        assert rho_runs == ([b] if name == "cached" else [b] * uncertified)
+    assert outputs["cached"] == outputs["uncached"]
 
 
 def test_search_small_m_strip_resolved_by_factoring(tmp_path, capsys):

@@ -3,6 +3,7 @@ exponents."""
 
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -237,6 +238,69 @@ def test_verify_rejects_overclaimed_exponent(monkeypatch, fresh_verify_cache):
     overclaim = dataclasses.replace(true_profile, forced_exponent=f.degree + 1)
     monkeypatch.setattr(obstruction, "obstruction_profile", lambda form, q: overclaim)
     assert not verify_forced_exponent(f, 3)
+
+
+def test_verify_rejects_overclaimed_multiplicity(monkeypatch, fresh_verify_cache):
+    # (x - y)^2 (x^2 + y^2) at 3: x = y + 3a with 3 ∤ a and 3 ∤ y gives
+    # v = 2, below the total degree 4 and no multiple of 3; a claim of 3
+    # must fail
+    true_profile = obstruction_profile(MULTIPLICITY_FORM, 3)
+    assert true_profile.reason == "LINEAR_FACTOR_MULTIPLICITY"
+    assert true_profile.forced_exponent == 2
+    overclaim = dataclasses.replace(true_profile, forced_exponent=3)
+    monkeypatch.setattr(obstruction, "obstruction_profile", lambda form, q: overclaim)
+    assert not verify_forced_exponent(MULTIPLICITY_FORM, 3)
+
+
+def _exact_valuation_verdict(form, q, profile):
+    """verify_forced_exponent's question, answered from the exact valuation
+    of form.evaluate at every lift of every root class."""
+    e, d = profile.forced_exponent, profile.total_degree
+    multiple_rule = profile.reason == "LINEAR_FACTOR_MULTIPLICITY"
+    roots = [(x, y) for y in range(q) for x in range(q) if form.evaluate(x, y) % q == 0]
+    for x0, y0 in roots:
+        for a in range(q):
+            for b in range(q):
+                val = form.evaluate(x0 + q * a, y0 + q * b)
+                if val == 0:
+                    continue
+                v = 0
+                while val % q == 0:
+                    val //= q
+                    v += 1
+                if (v % e != 0 and v < d) if multiple_rule else v < e:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "form", [*BUNDLED_FORMS.values(), MULTIPLICITY_FORM], ids=[*BUNDLED_FORMS, "mult"]
+)
+def test_verify_matches_exact_valuations(form, monkeypatch, fresh_verify_cache):
+    # the claimed exponent and total degree each moved by one either way:
+    # the scan mod q^K must give the exact-valuation verdict, so an
+    # off-by-one K shows up here (for the multiplicity rule only through a
+    # claimed degree of 3: within [0, q^2)^2 the values of a true
+    # multiplicity profile have v = e or v >= d)
+    real_profile = obstruction.obstruction_profile
+    verdicts = set()
+    for q in arith.primes_upto(31):
+        true_profile = real_profile(form, q)
+        if not true_profile.eligible:
+            continue
+        for shift, degree_shift in itertools.product((-1, 0, 1), repeat=2):
+            claim = dataclasses.replace(
+                true_profile,
+                forced_exponent=true_profile.forced_exponent + shift,
+                total_degree=true_profile.total_degree + degree_shift,
+            )
+            monkeypatch.setattr(obstruction, "obstruction_profile", lambda f, p: claim)
+            verify_forced_exponent.cache_clear()
+            want = _exact_valuation_verdict(form, q, claim)
+            assert verify_forced_exponent(form, q) == want, (q, shift, degree_shift)
+            assert want or shift == 1, (q, shift, degree_shift)
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_deep_recheck_scans_each_form_and_prime_once(monkeypatch, fresh_verify_cache):
