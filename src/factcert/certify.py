@@ -216,13 +216,14 @@ class Certificate:
     def from_dict(cls, data: dict) -> "Certificate":
         family = Family(data["family"])
         if family.is_sum:
-            a, b = int(data["A"]), int(data["B"])
+            a, b = _json_int(data["A"], "A"), _json_int(data["B"], "B")
         else:
-            a, b = 1, int(data["b"])
+            a, b = 1, _json_int(data["b"], "b")
         factor_list = None
         if data.get("factor_list") is not None:
             factor_list = tuple(
-                (tuple(int(x) for x in c), int(m)) for c, m in data["factor_list"]
+                (_json_list(c, "factor_list"), _json_int(m, "factor_list"))
+                for c, m in data["factor_list"]
             )
         fc = data.get("factor_constant")
         fe = data.get("forced_exponent")
@@ -231,20 +232,34 @@ class Certificate:
                 family,
                 a,
                 b,
-                tuple(int(c) for c in data["form_coeffs"]),
-                int(data["scaling"]),
+                _json_list(data["form_coeffs"], "form_coeffs"),
+                _json_int(data["scaling"], "scaling"),
                 factor_list,
-                None if fc is None else int(fc),
+                None if fc is None else _json_int(fc, "factor_constant"),
                 bool(data.get("irreducible_declared", False)),
             ),
-            cell=tuple(int(c) for c in data["cell"]),
-            prime=int(data["prime"]),
-            valuation=int(data["valuation"]),
-            forced_exponent=None if fe is None else int(fe),
+            cell=_json_list(data["cell"], "cell"),
+            prime=_json_int(data["prime"], "prime"),
+            valuation=_json_int(data["valuation"], "valuation"),
+            forced_exponent=None if fe is None else _json_int(fe, "forced_exponent"),
             rule=str(data["rule"]),
             checker_version=str(data["checker_version"]),
-            notes=tuple(data.get("notes", ())),
+            notes=_json_list(data.get("notes", []), "notes", str),
         )
+
+
+def _json_int(value, field: str) -> int:
+    """value if it is a JSON integer: int() would also take 103.5, "103" or true."""
+    if type(value) is int:
+        return value
+    raise ValueError(f"certificate field {field} must be an integer, not {value!r}")
+
+
+def _json_list(value, field: str, kind: type = int) -> tuple:
+    """A JSON list whose items all have exactly the type kind, as a tuple."""
+    if isinstance(value, list) and all(type(x) is kind for x in value):
+        return tuple(value)
+    raise ValueError(f"certificate field {field} must be a list of {kind.__name__}, not {value!r}")
 
 
 # A certificate file repeats one equation on every entry, and a factored

@@ -1,5 +1,5 @@
-"""Integer binary forms and univariate polynomials: evaluation, discriminants,
-factor structure, and the monic depression transform used by the bound extractor.
+"""Integer binary forms and univariate polynomials: evaluation, factor
+structure, and the monic depression transform used by the bound extractor.
 
 Coefficient order is always descending in x: (a_d, ..., a_0) represents
 a_d*x^d + ... + a_0 for polynomials and a_d*x^d + a_{d-1}*x^{d-1}*y + ... +
@@ -114,65 +114,6 @@ def _gcd_degree(p, q) -> int:
     return _degree(p)
 
 
-def _int_det(mat) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def resultant(p, q) -> int:
-    """Resultant of two integer coefficient tuples via the Sylvester matrix."""
-    p, q = _trim(p), _trim(q)
-    dp, dq = _degree(p), _degree(q)
-    if dp < 0 or dq < 0:
-        return 0
-    if dp == 0:
-        return p[0] ** dq
-    if dq == 0:
-        return q[0] ** dp
-    n = dp + dq
-    rows = []
-    for i in range(dq):
-        rows.append([0] * i + list(p) + [0] * (n - dp - 1 - i))
-    for i in range(dp):
-        rows.append([0] * i + list(q) + [0] * (n - dq - 1 - i))
-    return _int_det(rows)
-
-
-def discriminant(coeffs) -> int:
-    """Discriminant of an integer polynomial of degree >= 1 (degree 1 gives 1)."""
-    coeffs = _trim(coeffs)
-    d = _degree(coeffs)
-    if d < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if d == 1:
-        return 1
-    res = resultant(coeffs, _derivative(coeffs))
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    val, rem = divmod(sign * res, coeffs[0])
-    if rem:
-        raise FormDataError("resultant not divisible by leading coefficient")
-    return val
-
-
 # ---------------------------------------------------------------------------
 # Public types
 # ---------------------------------------------------------------------------
@@ -244,11 +185,6 @@ class BinaryForm:
     def lead(self) -> int:
         """Coefficient of x^d."""
         return self.coeffs[0]
-
-    @property
-    def coconstant(self) -> int:
-        """Coefficient of y^d."""
-        return self.coeffs[-1]
 
     def content(self) -> int:
         return _content(self.coeffs)
@@ -326,27 +262,6 @@ def clear_denominators(coeffs) -> tuple[tuple[int, ...], int]:
     fracs = [Fraction(c) for c in coeffs]
     mult = math.lcm(*[f.denominator for f in fracs]) if fracs else 1
     return tuple(int(f * mult) for f in fracs), mult
-
-
-# ---------------------------------------------------------------------------
-# Discriminants
-# ---------------------------------------------------------------------------
-
-
-def modified_discriminant(form: BinaryForm) -> int:
-    """Discriminant of f(x,1) divided by content^(2d-2); must come out integral."""
-    deh = form.dehomogenized()
-    if _degree(deh) < 1:
-        raise ValueError("f(x,1) must have degree >= 1")
-    g = form.content()
-    disc = discriminant(deh)
-    denom = g ** (2 * form.degree - 2)
-    val, rem = divmod(disc, denom)
-    if rem:
-        raise FormDataError(
-            f"discriminant {disc} not divisible by content^(2d-2) = {denom}"
-        )
-    return val
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Obstruction primes: primes q whose divisibility of a represented value is
 forced to a high exponent by the shape of the right-side form.
 
-For an irreducible binary form f of degree d, a prime q that divides no value
-f(x,1) mod q and is coprime to the leading/constant coefficients, the reduced
-discriminant, and the content forces q | f(x,y) => q^d | f(x,y): the rootless
-reduction pushes q into both x and y, and homogeneity does the rest.  Factored
-forms get the analogous treatment per factor, plus a multiplicity rule when a
-repeated linear factor is present.  Univariate right sides are stricter still:
-a rootless reduction means q never divides a represented value at all.
+For an irreducible binary form f of degree d, a prime q that does not divide
+the leading coefficient, with f(x,1) rootless and squarefree mod q, forces
+q | f(x,y) => q^d | f(x,y): the rootless reduction pushes q into both x and y,
+and homogeneity does the rest.  (Nor can q divide the constant coefficient or
+the content: either would give f(x,1) a root mod q.)  Factored forms get the
+analogous treatment per factor, plus a multiplicity rule when a repeated
+linear factor is present.  Univariate right sides are stricter still: a
+rootless reduction means q never divides a represented value at all.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import functools
 from dataclasses import dataclass
 
 from . import arith
-from .forms import BinaryForm, UnivariatePoly, factor_univariate, modified_discriminant
+from .forms import BinaryForm, UnivariatePoly, _derivative, factor_univariate
 
 VERIFY_PRIME_LIMIT = 200
 
@@ -29,34 +30,27 @@ REASON_LINEAR_MULTIPLICITY = "LINEAR_FACTOR_MULTIPLICITY"
 class ObstructionProfile:
     """Eligibility verdict for one (target, prime) pair.
 
+    reason names the rule that made q eligible; None means ineligible.
     forced_exponent is the exponent E forced on v_q of any represented value;
-    None with unbounded=True means q can never divide a represented value
-    (univariate rootless case), None otherwise means ineligible.  Profiles from
-    the multiplicity rule only constrain valuations below total_degree for
-    binary targets (any valuation is reachable once both variables absorb q).
+    an eligible profile without one is unbounded: q can never divide a
+    represented value (univariate rootless case).  Profiles from the
+    multiplicity rule only constrain valuations below total_degree for binary
+    targets (any valuation is reachable once both variables absorb q).
     """
 
     q: int
-    eligible: bool
-    forced_exponent: int | None
-    reason: str | None
     total_degree: int
     univariate: bool
-    unbounded: bool = False
+    forced_exponent: int | None = None
+    reason: str | None = None
 
+    @property
+    def eligible(self) -> bool:
+        return self.reason is not None
 
-def _profile(q, degree, univariate, forced_exponent=None, reason=None):
-    """A profile from its rule: no reason means ineligible, and an eligible
-    profile with no forced exponent is the unbounded univariate one."""
-    return ObstructionProfile(
-        q=q,
-        eligible=reason is not None,
-        forced_exponent=forced_exponent,
-        reason=reason,
-        total_degree=degree,
-        univariate=univariate,
-        unbounded=reason is not None and forced_exponent is None,
-    )
+    @property
+    def unbounded(self) -> bool:
+        return self.eligible and self.forced_exponent is None
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +127,7 @@ def has_root_mod_q(coeffs, q: int) -> bool:
     result[1] = (result[1] - 1) % q
     while result and result[-1] == 0:
         result.pop()
-    if not result:
-        return True  # x^q - x divisible by f: f splits completely
+    # a zero result means f divides x^q - x, and then the gcd is f itself
     return _gf_gcd_degree(f, result, q) >= 1
 
 
@@ -143,19 +136,13 @@ def has_root_mod_q(coeffs, q: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _form_invariants(form: BinaryForm):
-    return (form.lead, form.coconstant, modified_discriminant(form), form.content())
-
-
 def _irreducible_factor_ok(form: BinaryForm, q: int) -> bool:
-    """Shared eligibility tests for one irreducible form."""
-    lead, coconst, delta_mod, content = _form_invariants(form)
-    return (
-        lead % q != 0
-        and (coconst * delta_mod * content) % q != 0
-        and not has_root_mod_q(form.dehomogenized(), q)
-    )
+    """q does not divide the lead, and f(x,1) is rootless and squarefree mod q."""
+    if form.lead % q == 0 or has_root_mod_q(form.coeffs, q):
+        return False
+    f = list(reversed(_poly_mod_q(form.coeffs, q)))  # ascending, degree d
+    df = list(reversed(_poly_mod_q(_derivative(form.coeffs), q)))
+    return _gf_gcd_degree(f, df, q) == 0
 
 
 def _require_prime(q: int) -> None:
@@ -164,7 +151,13 @@ def _require_prime(q: int) -> None:
 
 
 def is_obstruction_prime(form: BinaryForm, q: int) -> ObstructionProfile:
-    """Profile of q against an irreducible binary form of degree >= 2."""
+    """Profile of q against an irreducible binary form of degree >= 2.
+
+    Eligible when q does not divide the lead and f(x,1) is rootless and
+    squarefree mod q.  Rootlessness already keeps q off the constant
+    coefficient (x = 0 is no root) and the content (a zero reduction has
+    every root); squarefree mod q means q does not divide disc f(x,1).
+    """
     _require_prime(q)
     d = form.degree
     if d < 2:
@@ -174,8 +167,8 @@ def is_obstruction_prime(form: BinaryForm, q: int) -> ObstructionProfile:
             "form is not irreducible (or not declared so); use the factored route"
         )
     if not _irreducible_factor_ok(form, q):
-        return _profile(q, d, False)
-    return _profile(q, d, False, d, REASON_NO_ROOT)
+        return ObstructionProfile(q, d, False)
+    return ObstructionProfile(q, d, False, d, REASON_NO_ROOT)
 
 
 def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfile:
@@ -185,26 +178,23 @@ def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfil
         form = form.with_found_factors()  # raises past degree 4
     d = form.degree
     if min(f.degree * e for f, e in form.factors) == 1 or form.factor_constant % q == 0:
-        return _profile(q, d, False)
+        return ObstructionProfile(q, d, False)
     linear = [(f, e) for f, e in form.factors if f.degree == 1]
     higher = [f for f, _ in form.factors if f.degree >= 2]
     if not all(_irreducible_factor_ok(f, q) for f in higher):
-        return _profile(q, d, False)
+        return ObstructionProfile(q, d, False)
     if not linear:
-        return _profile(q, d, False, d, REASON_NO_ROOT)
+        return ObstructionProfile(q, d, False, d, REASON_NO_ROOT)
     if len(linear) > 1:
         # two repeated lines give a union of multiple patterns; stay conservative
-        return _profile(q, d, False)
+        return ObstructionProfile(q, d, False)
     (lin, mult) = linear[0]
     alpha, beta = lin.coeffs
     # A declared factor list need not be primitive: q | (alpha, beta) has no line mod q.
     if alpha % q == 0 and beta % q == 0:
-        return _profile(q, d, False)
-    # (x:y) = (-beta:alpha) is the zero of the line mod q; no other factor may
-    # vanish there or mixed contributions break the multiple-of-e pattern.
-    if any(f.evaluate(-beta, alpha) % q == 0 for f in higher):
-        return _profile(q, d, False)
-    return _profile(q, d, False, mult, REASON_LINEAR_MULTIPLICITY)
+        return ObstructionProfile(q, d, False)
+    # no rootless higher factor vanishes at the line's zero (-beta:alpha) mod q
+    return ObstructionProfile(q, d, False, mult, REASON_LINEAR_MULTIPLICITY)
 
 
 def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionProfile:
@@ -219,19 +209,19 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
     _require_prime(q)
     d = poly.degree
     if not has_root_mod_q(poly.coeffs, q):
-        return _profile(q, d, True, reason=REASON_NO_ROOT)
+        return ObstructionProfile(q, d, True, reason=REASON_NO_ROOT)
     if d > 4:
-        return _profile(q, d, True)
+        return ObstructionProfile(q, d, True)
     constant, factors = factor_univariate(poly.coeffs)
     linear = [(fc, e) for fc, e in factors if len(fc) == 2]
     if constant % q == 0 or min((len(fc) - 1) * e for fc, e in factors) == 1:
-        return _profile(q, d, True)
+        return ObstructionProfile(q, d, True)
     if len(linear) != 1:
-        return _profile(q, d, True)
+        return ObstructionProfile(q, d, True)
     (lc, mult) = linear[0]
     if any(has_root_mod_q(fc, q) for fc, _ in factors if len(fc) >= 3):
-        return _profile(q, d, True)
-    return _profile(q, d, True, mult, REASON_LINEAR_MULTIPLICITY)
+        return ObstructionProfile(q, d, True)
+    return ObstructionProfile(q, d, True, mult, REASON_LINEAR_MULTIPLICITY)
 
 
 @functools.lru_cache(maxsize=200_000)

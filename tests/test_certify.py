@@ -146,6 +146,27 @@ def test_recheck_rejects_tampering(mutate):
     assert not recheck(tampered)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("prime", 103.5),
+        ("prime", 103.0),
+        ("prime", "103"),
+        ("cell", [10.9, 7.2]),
+        ("valuation", True),
+        ("A", 1.0),
+        ("notes", "window_prime"),
+    ],
+)
+def test_from_dict_refuses_a_field_of_the_wrong_type(field, value):
+    # int() would coerce each of these into a certificate that rechecks
+    data = certify_cell(SUM_SQUARES, (10, 7)).to_dict()
+    assert data["prime"] == 103
+    data[field] = value
+    with pytest.raises(ValueError, match=f"field {field} "):
+        Certificate.from_dict(data)
+
+
 def test_recheck_divides_small_product_left_side(monkeypatch):
     # a small product cell's valuation comes from the left side itself, not
     # from product_valuation, which made the certificate

@@ -163,13 +163,6 @@ def test_distinct_root_count():
     assert distinct_root_count(UnivariatePoly((1, 0, 0))) == 1
 
 
-def test_modified_discriminant_values():
-    assert forms.modified_discriminant(BinaryForm((1, 0, 1))) == -4
-    assert forms.modified_discriminant(BinaryForm((1, 1, 1))) == -3
-    # content 2 divides out: 2x^2+2y^2 has the same modified discriminant
-    assert forms.modified_discriminant(BinaryForm((2, 0, 2))) == -4
-
-
 def test_quadratic_definite_detection():
     assert forms.is_positive_definite(BinaryForm((1, 0, 1)))
     assert forms.is_positive_definite(BinaryForm((2, 1, 3)))

@@ -106,6 +106,60 @@ def test_has_root_mod_q_matches_residue_scan():
         assert not has_root_mod_q(frob[:-1] + (1,), q)
 
 
+def test_rootless_but_not_squarefree_is_ineligible():
+    # f(x,1) = x^4 + 2x^2 + 3x + 1 is (x^2 + 1)^2 mod 3: irreducible over Q,
+    # 3 does not divide the lead, no root mod 3, yet a repeated factor
+    f = BinaryForm((1, 0, 2, 3, 1))
+    assert f.is_irreducible()
+    assert not has_root_mod_q(f.coeffs, 3)
+    assert not obstruction.is_obstruction_prime(f, 3).eligible
+    assert obstruction.is_obstruction_prime(f, 5).eligible
+
+
+def _brute_eligible(f, q):
+    """Eligibility by residue enumeration alone: q does not divide the lead,
+    f(x,1) has no root mod q, and f(x,1) is not lead * g^2 for a monic
+    quadratic g (the only repeated factor a rootless f of degree <= 4 can
+    have)."""
+    c = [x % q for x in f.coeffs]
+    if c[0] == 0 or any(f.evaluate(x, 1) % q == 0 for x in range(q)):
+        return False
+    if f.degree < 4:
+        return True
+    for u in range(q):
+        for w in range(q):
+            # lead * (x^2 + u x + w)^2, descending
+            square = (1, 2 * u, u * u + 2 * w, 2 * u * w, w * w)
+            if all((c[0] * s - t) % q == 0 for s, t in zip(square, c)):
+                return False
+    return True
+
+
+def test_eligibility_matches_brute_force_oracle():
+    rng = random.Random(27)
+    forms = []
+    while len(forms) < 30:
+        d = rng.randint(2, 4)
+        coeffs = [rng.randint(-9, 9) for _ in range(d + 1)]
+        if d == 4 and len(forms) % 2:
+            # g^2 + 30 h for g = x^2 + u x + w: rootless and not squarefree
+            # mod each of 2, 3, 5 where g is irreducible
+            u, w = rng.choice(((0, 1), (0, 2), (1, 1), (1, 2)))
+            square = (1, 2 * u, u * u + 2 * w, 2 * u * w, w * w)
+            coeffs = [a + 30 * rng.randint(-2, 2) for a in square]
+        f = BinaryForm(tuple(coeffs))
+        if coeffs[0] and f.is_irreducible():
+            forms.append(f)
+    excluded_by_square = 0
+    for f in forms:
+        for q in arith.primes_upto(59):
+            want = _brute_eligible(f, q)
+            assert obstruction.is_obstruction_prime(f, q).eligible is want, (f.coeffs, q)
+            if not want and f.lead % q and not _scan_has_root(f.coeffs, q):
+                excluded_by_square += 1
+    assert excluded_by_square > 0
+
+
 # sha256 over (q, eligible, forced_exponent, reason, unbounded, total_degree,
 # univariate) for every bundled form and polynomial and MULTIPLICITY_FORM at
 # every prime below 3000
