@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,7 +42,7 @@ def _sieve(limit: int) -> tuple[int, ...]:
         if flags[p]:
             start = p * p
             flags[start::p] = bytearray((limit - start) // p + 1)
-    return tuple(i for i in range(limit + 1) if flags[i])
+    return tuple(itertools.compress(range(limit + 1), flags))
 
 
 def primes_upto(limit: int) -> tuple[int, ...]:

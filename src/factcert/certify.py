@@ -216,13 +216,13 @@ class Certificate:
     def from_dict(cls, data: dict) -> "Certificate":
         family = Family(data["family"])
         if family.is_sum:
-            a, b = _json_int(data["A"], "A"), _json_int(data["B"], "B")
+            a, b = _json_value(data["A"], "A"), _json_value(data["B"], "B")
         else:
-            a, b = 1, _json_int(data["b"], "b")
+            a, b = 1, _json_value(data["b"], "b")
         factor_list = None
         if data.get("factor_list") is not None:
             factor_list = tuple(
-                (_json_list(c, "factor_list"), _json_int(m, "factor_list"))
+                (_json_list(c, "factor_list"), _json_value(m, "factor_list"))
                 for c, m in data["factor_list"]
             )
         fc = data.get("factor_constant")
@@ -233,26 +233,27 @@ class Certificate:
                 a,
                 b,
                 _json_list(data["form_coeffs"], "form_coeffs"),
-                _json_int(data["scaling"], "scaling"),
+                _json_value(data["scaling"], "scaling"),
                 factor_list,
-                None if fc is None else _json_int(fc, "factor_constant"),
-                bool(data.get("irreducible_declared", False)),
+                None if fc is None else _json_value(fc, "factor_constant"),
+                _json_value(data.get("irreducible_declared", False), "irreducible_declared", bool),
             ),
             cell=_json_list(data["cell"], "cell"),
-            prime=_json_int(data["prime"], "prime"),
-            valuation=_json_int(data["valuation"], "valuation"),
-            forced_exponent=None if fe is None else _json_int(fe, "forced_exponent"),
-            rule=str(data["rule"]),
-            checker_version=str(data["checker_version"]),
+            prime=_json_value(data["prime"], "prime"),
+            valuation=_json_value(data["valuation"], "valuation"),
+            forced_exponent=None if fe is None else _json_value(fe, "forced_exponent"),
+            rule=_json_value(data["rule"], "rule", str),
+            checker_version=_json_value(data["checker_version"], "checker_version", str),
             notes=_json_list(data.get("notes", []), "notes", str),
         )
 
 
-def _json_int(value, field: str) -> int:
-    """value if it is a JSON integer: int() would also take 103.5, "103" or true."""
-    if type(value) is int:
+def _json_value(value, field: str, kind: type = int):
+    """value if its type is exactly kind: int() would also take 103.5, "103" or
+    true, bool() takes "false" and str() takes 1.0."""
+    if type(value) is kind:
         return value
-    raise ValueError(f"certificate field {field} must be an integer, not {value!r}")
+    raise ValueError(f"certificate field {field} must be of type {kind.__name__}, not {value!r}")
 
 
 def _json_list(value, field: str, kind: type = int) -> tuple:

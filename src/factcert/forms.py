@@ -8,6 +8,7 @@ a_0*y^d for forms, so a form and its x-dehomogenization share one tuple.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,6 +153,11 @@ class UnivariatePoly:
     def content(self) -> int:
         return _content(self.coeffs)
 
+    @functools.cached_property
+    def factorization(self) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+        """factor_univariate(coeffs), computed once per polynomial (degree <= 4)."""
+        return factor_univariate(self.coeffs)
+
     def __str__(self) -> str:
         return poly_text(self.coeffs, "x")
 
@@ -160,9 +166,10 @@ class UnivariatePoly:
 class BinaryForm:
     """Homogeneous integer form of degree len(coeffs)-1 in x and y.
 
-    factors, when set, is ((irreducible form, multiplicity), ...) with
-    factor_constant making the product exact; it is either user-declared or
-    found natively for degree <= 4.
+    factors, when set, is the declared ((irreducible form, multiplicity), ...)
+    with factor_constant making the product exact.  The factorization property
+    gives the one every layer reads: the declared list, or the one found
+    natively for degree <= 4.
     """
 
     coeffs: tuple[int, ...]
@@ -202,27 +209,31 @@ class BinaryForm:
         """Coefficients of f(x, 1); may have lower degree than the form."""
         return _trim(self.coeffs)
 
-    def with_found_factors(self) -> "BinaryForm":
-        """Same form with its factor list filled in natively (degree <= 4 only)."""
+    @functools.cached_property
+    def factorization(self) -> tuple[tuple[tuple["BinaryForm", int], ...], int] | None:
+        """(factors, constant) over Q, computed once per form: the declared list,
+        else the native one for degree <= 4, checked by multiplying it out;
+        None past degree 4.  A leading-coefficient deficit is a power of y; the
+        rest re-homogenizes the factors of f(x,1), each at its own degree.
+        """
         if self.factors is not None:
-            return self
-        factors, constant = factor_binary_form(self)
-        return BinaryForm(
-            coeffs=self.coeffs, factors=factors, factor_constant=constant
-        )
+            return self.factors, self.factor_constant
+        if self.degree > 4:
+            return None
+        deh = self.dehomogenized()
+        y_mult = self.degree - _degree(deh)
+        constant, uni_factors = factor_univariate(deh)
+        factors = [(BinaryForm((0, 1)), y_mult)] if y_mult else []
+        factors += [(BinaryForm(fc), e) for fc, e in uni_factors]
+        return BinaryForm(self.coeffs, tuple(factors), constant).factorization
 
     def is_irreducible(self) -> bool:
         """Native irreducibility over Q for degree <= 4, else the declaration."""
-        if self.degree == 1:
-            return True
-        if self.degree <= 4:
-            f = self.with_found_factors()
-            return (
-                len(f.factors) == 1
-                and f.factors[0][1] == 1
-                and f.factors[0][0].degree == self.degree
-            )
-        return self.irreducible_declared
+        if self.degree > 4:
+            return self.irreducible_declared
+        factors, _ = self.factorization
+        # the factors multiply out to the form, so one simple factor is all of it
+        return len(factors) == 1 and factors[0][1] == 1
 
     def __str__(self) -> str:
         return form_text(self.coeffs)
@@ -464,28 +475,6 @@ def _quartic_split(coeffs):
                         if _degree(other) == 2:
                             return _primitive(cand), _primitive(other)
     return None
-
-
-def factor_binary_form(form: BinaryForm):
-    """Factor a binary form of degree <= 4 into irreducible forms over Q.
-
-    Returns (factors, constant) where factors is a tuple of (BinaryForm, e).
-    A leading-coefficient deficit corresponds to a power of y; the rest comes
-    from factoring f(x,1) and re-homogenizing each factor at its own degree.
-    """
-    if form.degree > 4:
-        raise ValueError(
-            "native factorization supports degree <= 4; supply factors explicitly"
-        )
-    deh = form.dehomogenized()
-    y_mult = form.degree - _degree(deh)
-    constant, uni_factors = factor_univariate(deh)
-    factors = []
-    if y_mult:
-        factors.append((BinaryForm((0, 1)), y_mult))
-    for fc, e in uni_factors:
-        factors.append((BinaryForm(fc), e))
-    return tuple(factors), constant
 
 
 def _check_factorization(form: BinaryForm) -> None:

@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass
 
 from . import arith
-from .forms import BinaryForm, UnivariatePoly, _derivative, factor_univariate
+from .forms import BinaryForm, UnivariatePoly, _derivative
 
 VERIFY_PRIME_LIMIT = 200
 
@@ -174,13 +174,16 @@ def is_obstruction_prime(form: BinaryForm, q: int) -> ObstructionProfile:
 def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfile:
     """Profile of q against a factored binary form."""
     _require_prime(q)
-    if form.factors is None:
-        form = form.with_found_factors()  # raises past degree 4
+    if form.factorization is None:
+        raise ValueError(
+            "degree >= 5 requires declared irreducibility or an explicit factor list"
+        )
+    factors, constant = form.factorization
     d = form.degree
-    if min(f.degree * e for f, e in form.factors) == 1 or form.factor_constant % q == 0:
+    if min(f.degree * e for f, e in factors) == 1 or constant % q == 0:
         return ObstructionProfile(q, d, False)
-    linear = [(f, e) for f, e in form.factors if f.degree == 1]
-    higher = [f for f, _ in form.factors if f.degree >= 2]
+    linear = [(f, e) for f, e in factors if f.degree == 1]
+    higher = [f for f, _ in factors if f.degree >= 2]
     if not all(_irreducible_factor_ok(f, q) for f in higher):
         return ObstructionProfile(q, d, False)
     if not linear:
@@ -212,7 +215,7 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
         return ObstructionProfile(q, d, True, reason=REASON_NO_ROOT)
     if d > 4:
         return ObstructionProfile(q, d, True)
-    constant, factors = factor_univariate(poly.coeffs)
+    constant, factors = poly.factorization
     linear = [(fc, e) for fc, e in factors if len(fc) == 2]
     if constant % q == 0 or min((len(fc) - 1) * e for fc, e in factors) == 1:
         return ObstructionProfile(q, d, True)
@@ -226,20 +229,13 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
 
 @functools.lru_cache(maxsize=200_000)
 def obstruction_profile(target, q: int) -> ObstructionProfile:
-    """Dispatch: univariate, declared/explicit factors, native, or irreducible."""
+    """Three routes: univariate targets; forms with no declared factor list that
+    are irreducible; all other forms by factorization (declared past degree 4)."""
     if isinstance(target, UnivariatePoly):
         return univariate_obstruction_profile(target, q)
-    if target.factors is not None:
-        return obstruction_profile_reducible(target, q)
-    if target.degree <= 4:
-        if target.is_irreducible():
-            return is_obstruction_prime(target, q)
-        return obstruction_profile_reducible(target, q)
-    if target.irreducible_declared:
+    if target.factors is None and target.is_irreducible():
         return is_obstruction_prime(target, q)
-    raise ValueError(
-        "degree >= 5 requires declared irreducibility or an explicit factor list"
-    )
+    return obstruction_profile_reducible(target, q)
 
 
 @dataclass(frozen=True)

@@ -440,14 +440,12 @@ def solution_sup_bound(form: BinaryForm, target: int) -> int | None:
     if is_positive_definite(form):
         a, b, c = form.coeffs
         return math.isqrt(4 * max(a, c) * abs(target) // (4 * a * c - b * b)) + 1
-    work = form
-    if work.factors is None and work.degree <= 4:
-        work = work.with_found_factors()
-    if work.factors is None:
+    if form.factorization is None:
         return None
-    lam = Fraction(abs(work.factor_constant))
+    factors, constant = form.factorization
+    lam = Fraction(abs(constant))
     d_def = 0
-    for g, e in work.factors:
+    for g, e in factors:
         if g.degree == 1:
             continue
         if g.degree == 2 and quadratic_discriminant(g) < 0:

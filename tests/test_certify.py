@@ -156,10 +156,14 @@ def test_recheck_rejects_tampering(mutate):
         ("valuation", True),
         ("A", 1.0),
         ("notes", "window_prime"),
+        ("irreducible_declared", "false"),
+        ("irreducible_declared", 1),
+        ("rule", 2),
+        ("checker_version", 1.0),
     ],
 )
 def test_from_dict_refuses_a_field_of_the_wrong_type(field, value):
-    # int() would coerce each of these into a certificate that rechecks
+    # int(), bool() or str() would coerce each of these into a certificate
     data = certify_cell(SUM_SQUARES, (10, 7)).to_dict()
     assert data["prime"] == 103
     data[field] = value

@@ -606,6 +606,15 @@ def test_obstruct_scan_coeffs_matches_token(capsys):
     assert strip(out_a) == strip(out_b)
 
 
+def test_obstruct_scan_undeclared_quintic_is_input_error(capsys):
+    argv = ["obstruct-scan", "--kind", "form", "--coeffs", "1,0,0,0,0,1",
+            "--from", "3", "--to", "60"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_INPUT
+    assert "degree >= 5 requires declared irreducibility" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------

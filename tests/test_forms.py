@@ -88,17 +88,17 @@ def test_declared_factorization_must_multiply_out_exactly(coeffs, factors, const
 
 
 def test_native_factor_lists_build_for_every_small_form():
-    # with_found_factors rebuilds each form from its factor list, which must
+    # factorization builds each form from its native factor list, which must
     # multiply out exactly; quartics sample the coefficient box sparsely
     boxes = {d: itertools.product(range(-3, 4), repeat=d + 1) for d in (1, 2, 3)}
     boxes[4] = itertools.product((-2, 0, 1, 3), repeat=5)
     built = 0
     for coeffs in itertools.chain(*boxes.values()):
         if any(coeffs):
-            BinaryForm(coeffs).with_found_factors()
+            assert BinaryForm(coeffs).factorization is not None
             built += 1
     for form in BUNDLED_FORMS.values():
-        form.with_found_factors()
+        assert form.factorization is not None
     assert built == 7**2 + 7**3 + 7**4 + 4**5 - 4
 
 

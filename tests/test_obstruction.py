@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factcert import arith, certify, obstruction
+from factcert import arith, certify, forms, obstruction
 from factcert.forms import BUNDLED_FORMS, BUNDLED_POLYS, BinaryForm, UnivariatePoly
 from factcert.obstruction import (
     has_root_mod_q,
@@ -392,6 +392,49 @@ def test_verify_rejects_large_prime():
 def test_degree_one_targets_rejected():
     with pytest.raises(ValueError):
         obstruction_profile(BinaryForm((1, 1)), 7)
+
+
+def test_each_target_is_factored_once_per_scan(monkeypatch):
+    # forms factors a target once; every profile of the scan reads that result
+    calls = []
+    real = forms.factor_univariate
+
+    def counting(coeffs):
+        calls.append(tuple(coeffs))
+        return real(coeffs)
+
+    monkeypatch.setattr(forms, "factor_univariate", counting)
+    obstruction_profile.cache_clear()
+    for target in (BinaryForm((1, 0, 0, 0, 1)), UnivariatePoly((1, 0, 0))):
+        calls.clear()
+        assert scan_obstruction_primes(target, 3, 1999).total_primes == 302
+        assert calls == [target.coeffs]
+
+
+def test_undeclared_quintic_has_no_route():
+    with pytest.raises(ValueError, match="degree >= 5 requires declared irreducibility"):
+        obstruction_profile(BinaryForm((1, 0, 0, 0, 0, 1)), 11)
+
+
+def test_declared_irreducible_quintic_takes_the_irreducible_route():
+    f = BinaryForm((1, 0, 0, 0, 0, 2), irreducible_declared=True)  # Eisenstein at 2
+    for q in arith.primes_upto(60):
+        assert obstruction_profile(f, q) == obstruction.is_obstruction_prime(f, q)
+    # fifth powers mod 11 are 0 and +-1, so x^5 + 2 has no root there
+    assert obstruction_profile(f, 11).forced_exponent == 5
+
+
+def test_quintic_with_a_declared_factor_list_takes_the_factored_route():
+    f = BinaryForm(
+        (1, 0, 1, 2, 0, 2),
+        factors=((BinaryForm((1, 0, 1)), 1), (BinaryForm((1, 0, 0, 2)), 1)),
+        factor_constant=1,
+    )
+    for q in arith.primes_upto(60):
+        assert obstruction_profile(f, q) == obstruction.obstruction_profile_reducible(f, q)
+    # both factors are rootless mod 7, but x^3 + 2 has the root 1 mod 3
+    assert obstruction_profile(f, 7).forced_exponent == 5
+    assert not obstruction_profile(f, 3).eligible
 
 
 @given(q=st.sampled_from((3, 7, 11, 19, 23, 31)))
