@@ -1,16 +1,11 @@
 """Prime certificates of non-representability for factorial-type equations.
 
 A certificate names one prime q and explains why the valuation v_q of the
-left side is incompatible with every value the right side can take.  Two
-rules cover all eligible primes:
-
-  V_LESS_THAN_E   the right side only takes valuations in {0, E, E+1, ...}
-                  at q (rootless target), so 0 < v < E is impossible; for a
-                  rootless univariate target E is infinite and any v > 0
-                  certifies.
-  V_NOT_MULTIPLE  the right side only takes valuations that are multiples
-                  of the linear-factor multiplicity e (below the total
-                  degree, for binary targets), so v % e != 0 certifies.
+left side is incompatible with every value the right side can take, by one
+of the two rules ObstructionProfile.rule states: V_LESS_THAN_E (the
+valuation falls below the exponent a rootless target forces) or
+V_NOT_MULTIPLE (it is no multiple of a repeated linear factor's
+multiplicity).
 
 A certificate holds the Equation it is about plus plain data (cell, prime,
 valuation, forced exponent, rule): rechecking one recomputes the valuation
@@ -29,13 +24,9 @@ from typing import Callable, Sequence
 
 from . import arith, obstruction, valuation
 from .forms import BinaryForm, UnivariatePoly, clear_denominators
-from .obstruction import REASON_NO_ROOT
 from .valuation import _cofactor_is_zero
 
 CHECKER_VERSION = "1.0"
-
-RULE_BELOW_EXPONENT = "V_LESS_THAN_E"
-RULE_NOT_MULTIPLE = "V_NOT_MULTIPLE"
 
 DEFAULT_PRIME_BUDGET = arith.DEFAULT_PRIME_BUDGET
 # Beyond this gap the cofactor A*(m+1)...(n) + B is too large for the budgeted
@@ -284,22 +275,6 @@ def _stored_equation(family, a, b, coeffs, scaling, factor_list, factor_constant
     return Equation(family, target, a, b, scaling)
 
 
-def _rule_outcome(profile: obstruction.ObstructionProfile, v: int) -> str | None:
-    """Which rule (if any) the pair (profile, v) satisfies."""
-    if v <= 0 or not profile.eligible:
-        return None
-    if profile.unbounded:
-        return RULE_BELOW_EXPONENT
-    e = profile.forced_exponent
-    if profile.reason == REASON_NO_ROOT:
-        return RULE_BELOW_EXPONENT if v < e else None
-    if v % e == 0:
-        return None
-    if not profile.univariate and v >= profile.total_degree:
-        return None
-    return RULE_NOT_MULTIPLE
-
-
 def window_primes(anchor: int) -> list[int]:
     """Primes p with anchor/2 < p <= anchor, largest first.
 
@@ -442,7 +417,7 @@ def certify_cell(
         if not profile.eligible:
             return None
         v = left_valuation(eq, cell, q)
-        rule = _rule_outcome(profile, v)
+        rule = profile.rule(v)
         if rule is None:
             return None
         return Certificate(eq, cell, q, v, profile.forced_exponent, rule, notes=notes)
@@ -495,8 +470,9 @@ def recheck(cert: Certificate, *, deep: bool = False) -> bool:
 
     Recomputes the left-side valuation (exactly, from the integer itself,
     when the cell is small enough), rebuilds the eligibility profile, and
-    re-evaluates the rule.  deep=True additionally brute-forces the forced
-    exponent over residues when the prime is within the exhaustive budget.
+    asks its rule for that valuation.  deep=True additionally brute-forces
+    the forced exponent over residues when the prime is within the
+    exhaustive budget.
     Malformed data counts as failure, not as an error; malformed equation
     fields in a stored certificate already fail in Certificate.from_dict.
     """
@@ -507,8 +483,6 @@ def recheck(cert: Certificate, *, deep: bool = False) -> bool:
         if not arith.is_prime(q):
             return False
         if cert.checker_version != CHECKER_VERSION:
-            return False
-        if cert.rule not in (RULE_BELOW_EXPONENT, RULE_NOT_MULTIPLE):
             return False
         if left_is_zero(eq, cell):
             return False
@@ -524,11 +498,10 @@ def recheck(cert: Certificate, *, deep: bool = False) -> bool:
             return False
 
         profile = obstruction.obstruction_profile(eq.target, q)
-        if not profile.eligible:
-            return False
         if profile.forced_exponent != cert.forced_exponent:
             return False
-        if _rule_outcome(profile, v) != cert.rule:
+        # rule(v) is None for an ineligible q or a v no rule certifies
+        if cert.rule is None or profile.rule(v) != cert.rule:
             return False
         if deep and isinstance(eq.target, BinaryForm):
             if q <= obstruction.VERIFY_PRIME_LIMIT:

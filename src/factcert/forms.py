@@ -154,9 +154,11 @@ class UnivariatePoly:
         return _content(self.coeffs)
 
     @functools.cached_property
-    def factorization(self) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-        """factor_univariate(coeffs), computed once per polynomial (degree <= 4)."""
-        return factor_univariate(self.coeffs)
+    def factorization(self) -> tuple[tuple[tuple["UnivariatePoly", int], ...], int]:
+        """(factors, constant) over Q as in BinaryForm.factorization, factors
+        as UnivariatePoly: factor_univariate, computed once (degree <= 4)."""
+        constant, factors = factor_univariate(self.coeffs)
+        return tuple((UnivariatePoly(fc), e) for fc, e in factors), constant
 
     def __str__(self) -> str:
         return poly_text(self.coeffs, "x")
@@ -322,11 +324,6 @@ def depress(poly: UnivariatePoly) -> DepressedForm:
         shift=poly.coeffs[1],
         source=poly,
     )
-
-
-def is_monomial_after_depression(poly: UnivariatePoly) -> bool:
-    """True when the depressed image is exactly z^d (degenerate for bounds)."""
-    return not depress(poly).residual()
 
 
 def distinct_root_count(poly: UnivariatePoly) -> int:

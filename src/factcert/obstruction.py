@@ -5,10 +5,12 @@ For an irreducible binary form f of degree d, a prime q that does not divide
 the leading coefficient, with f(x,1) rootless and squarefree mod q, forces
 q | f(x,y) => q^d | f(x,y): the rootless reduction pushes q into both x and y,
 and homogeneity does the rest.  (Nor can q divide the constant coefficient or
-the content: either would give f(x,1) a root mod q.)  Factored forms get the
-analogous treatment per factor, plus a multiplicity rule when a repeated
-linear factor is present.  Univariate right sides are stricter still: a
-rootless reduction means q never divides a represented value at all.
+the content: either would give f(x,1) a root mod q.)  One factored tail
+judges every target factor by factor (an irreducible form is one factor),
+plus a multiplicity rule when a repeated linear factor is present.
+Univariate right sides are stricter still: a rootless reduction means q
+never divides a represented value at all.  ObstructionProfile.rule states
+the certificate rules, for certify and verify_forced_exponent alike.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ VERIFY_PRIME_LIMIT = 200
 
 REASON_NO_ROOT = "NO_ROOT_MOD_Q"
 REASON_LINEAR_MULTIPLICITY = "LINEAR_FACTOR_MULTIPLICITY"
+
+RULE_BELOW_EXPONENT = "V_LESS_THAN_E"
+RULE_NOT_MULTIPLE = "V_NOT_MULTIPLE"
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,23 @@ class ObstructionProfile:
     @property
     def unbounded(self) -> bool:
         return self.eligible and self.forced_exponent is None
+
+    def rule(self, v: int) -> str | None:
+        """The rule by which a left valuation v rules out every represented
+        value at q, or None (always for v <= 0 or an ineligible q).
+        V_LESS_THAN_E: a rootless target only takes valuations 0 and >= E, so
+        0 < v < E certifies (any v > 0 when unbounded: E is infinite).
+        V_NOT_MULTIPLE: a repeated line of multiplicity e only gives multiples
+        of e (below the total degree, for binary targets), so v % e != 0
+        certifies.
+        """
+        if v <= 0 or not self.eligible:
+            return None
+        if self.reason == REASON_NO_ROOT:
+            return RULE_BELOW_EXPONENT if self.unbounded or v < self.forced_exponent else None
+        if v % self.forced_exponent == 0 or (not self.univariate and v >= self.total_degree):
+            return None
+        return RULE_NOT_MULTIPLE
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +172,29 @@ def _require_prime(q: int) -> None:
         raise ValueError(f"{q} is not prime")
 
 
+def _factored_profile(q: int, d: int, univariate: bool, factorization, factor_ok):
+    """Profile of q from a factorization (factors, constant) over Q: q off
+    the constant, no simple line, factor_ok(f, q) for every factor f of
+    degree >= 2, and then no line (forces d) or one repeated line (forces
+    multiples of its multiplicity)."""
+    factors, constant = factorization
+    ineligible = ObstructionProfile(q, d, univariate)
+    linear = [(f, e) for f, e in factors if f.degree == 1]
+    # two repeated lines give a union of multiple patterns; stay conservative
+    if constant % q == 0 or min(f.degree * e for f, e in factors) == 1 or len(linear) > 1:
+        return ineligible
+    if not all(factor_ok(f, q) for f, _ in factors if f.degree >= 2):
+        return ineligible
+    if not linear:
+        return ObstructionProfile(q, d, univariate, d, REASON_NO_ROOT)
+    ((lin, mult),) = linear
+    alpha, beta = lin.coeffs
+    if alpha % q == 0 and beta % q == 0:  # a declared line need not be primitive
+        return ineligible
+    # no factor of degree >= 2 vanishes at the line's zero mod q
+    return ObstructionProfile(q, d, univariate, mult, REASON_LINEAR_MULTIPLICITY)
+
+
 def is_obstruction_prime(form: BinaryForm, q: int) -> ObstructionProfile:
     """Profile of q against an irreducible binary form of degree >= 2.
 
@@ -166,9 +211,7 @@ def is_obstruction_prime(form: BinaryForm, q: int) -> ObstructionProfile:
         raise ValueError(
             "form is not irreducible (or not declared so); use the factored route"
         )
-    if not _irreducible_factor_ok(form, q):
-        return ObstructionProfile(q, d, False)
-    return ObstructionProfile(q, d, False, d, REASON_NO_ROOT)
+    return _factored_profile(q, d, False, (((form, 1),), 1), _irreducible_factor_ok)
 
 
 def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfile:
@@ -178,26 +221,7 @@ def obstruction_profile_reducible(form: BinaryForm, q: int) -> ObstructionProfil
         raise ValueError(
             "degree >= 5 requires declared irreducibility or an explicit factor list"
         )
-    factors, constant = form.factorization
-    d = form.degree
-    if min(f.degree * e for f, e in factors) == 1 or constant % q == 0:
-        return ObstructionProfile(q, d, False)
-    linear = [(f, e) for f, e in factors if f.degree == 1]
-    higher = [f for f, _ in factors if f.degree >= 2]
-    if not all(_irreducible_factor_ok(f, q) for f in higher):
-        return ObstructionProfile(q, d, False)
-    if not linear:
-        return ObstructionProfile(q, d, False, d, REASON_NO_ROOT)
-    if len(linear) > 1:
-        # two repeated lines give a union of multiple patterns; stay conservative
-        return ObstructionProfile(q, d, False)
-    (lin, mult) = linear[0]
-    alpha, beta = lin.coeffs
-    # A declared factor list need not be primitive: q | (alpha, beta) has no line mod q.
-    if alpha % q == 0 and beta % q == 0:
-        return ObstructionProfile(q, d, False)
-    # no rootless higher factor vanishes at the line's zero (-beta:alpha) mod q
-    return ObstructionProfile(q, d, False, mult, REASON_LINEAR_MULTIPLICITY)
+    return _factored_profile(q, form.degree, False, form.factorization, _irreducible_factor_ok)
 
 
 def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionProfile:
@@ -207,7 +231,9 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
     certifies any positive left valuation.  With roots, only the repeated
     linear factor pattern (e.g. perfect powers) still forces structure, and
     there it forces v_q to be a multiple of the multiplicity with no upper
-    cutoff: one-variable targets have no second variable to absorb q.
+    cutoff: one-variable targets have no second variable to absorb q.  The
+    tail's no-line verdict cannot arise here: once the constant is a unit mod
+    q, a root mod q is a root of some factor, and no factor_ok factor has one.
     """
     _require_prime(q)
     d = poly.degree
@@ -215,16 +241,9 @@ def univariate_obstruction_profile(poly: UnivariatePoly, q: int) -> ObstructionP
         return ObstructionProfile(q, d, True, reason=REASON_NO_ROOT)
     if d > 4:
         return ObstructionProfile(q, d, True)
-    constant, factors = poly.factorization
-    linear = [(fc, e) for fc, e in factors if len(fc) == 2]
-    if constant % q == 0 or min((len(fc) - 1) * e for fc, e in factors) == 1:
-        return ObstructionProfile(q, d, True)
-    if len(linear) != 1:
-        return ObstructionProfile(q, d, True)
-    (lc, mult) = linear[0]
-    if any(has_root_mod_q(fc, q) for fc, _ in factors if len(fc) >= 3):
-        return ObstructionProfile(q, d, True)
-    return ObstructionProfile(q, d, True, mult, REASON_LINEAR_MULTIPLICITY)
+    return _factored_profile(
+        q, d, True, poly.factorization, lambda f, p: not has_root_mod_q(f.coeffs, p)
+    )
 
 
 @functools.lru_cache(maxsize=200_000)
@@ -315,11 +334,9 @@ def verify_forced_exponent(form: BinaryForm, q: int) -> bool:
     profile = obstruction_profile(form, q)
     if not profile.eligible:
         return True
-    e_forced = profile.forced_exponent
-    d_total = profile.total_degree
     multiple_rule = profile.reason == REASON_LINEAR_MULTIPLICITY
+    modulus = q ** (profile.total_degree if multiple_rule else profile.forced_exponent)
     coeffs = form.coeffs
-    modulus = q ** (d_total if multiple_rule else e_forced)
     for x0, y0 in _residue_roots(form, q):
         for b in range(q):
             y = y0 + q * b
@@ -336,9 +353,6 @@ def verify_forced_exponent(form: BinaryForm, q: int) -> bool:
                 while val % q == 0:
                     val //= q
                     v += 1
-                if multiple_rule:
-                    if v % e_forced != 0 and v < d_total:
-                        return False
-                elif v < e_forced:
+                if profile.rule(v) is not None:
                     return False
     return True

@@ -26,6 +26,8 @@ from .certify import (
     DEFAULT_PRIME_BUDGET,
     Certificate,
     Equation,
+    _json_list,
+    _json_value,
     certify_cell,
     left_factorization,
     left_is_zero,
@@ -543,11 +545,11 @@ class CellResult:
         cert = data.get("certificate")
         wit = data.get("witness")
         return cls(
-            cell=tuple(int(c) for c in data["cell"]),
+            cell=_json_list(data["cell"], "cell"),
             status=CellStatus(data["status"]),
-            witness=None if wit is None else tuple(int(w) for w in wit),
+            witness=None if wit is None else _json_list(wit, "witness"),
             certificate=None if cert is None else Certificate.from_dict(cert),
-            note=data.get("note", ""),
+            note=_json_value(data.get("note", ""), "note", str),
         )
 
 

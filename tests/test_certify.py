@@ -133,6 +133,7 @@ def test_equation_refuses_a_target_of_the_wrong_kind(family, target):
         lambda d: d.update(cell=[12, 10]),
         lambda d: d.update(forced_exponent=5),
         lambda d: d.update(form_coeffs=[1, 0, 1]),
+        lambda d: d.update(rule="V_ANY"),
     ],
 )
 def test_recheck_rejects_tampering(mutate):
@@ -144,6 +145,13 @@ def test_recheck_rejects_tampering(mutate):
     except (ValueError, KeyError):
         return  # malformed enough to fail at parse time: acceptable rejection
     assert not recheck(tampered)
+
+
+def test_recheck_rejects_a_certificate_that_names_no_rule():
+    # 5 is ineligible for x2+y2, so the profile's rule is None for every v
+    v = left_valuation(SUM_SQUARES, (10, 7), 5)
+    assert obstruction.obstruction_profile(SUM_SQUARES.target, 5).rule(v) is None
+    assert not recheck(Certificate(SUM_SQUARES, (10, 7), 5, v, None, None))
 
 
 @pytest.mark.parametrize(
@@ -219,7 +227,7 @@ def _reference_certify(eq, cell, prime_budget, rho_steps=0):
                 v += 1
         else:
             v = left_valuation(eq, cell, q)
-        rule = certify._rule_outcome(profile, v)
+        rule = profile.rule(v)
         if rule is None:
             return None
         return Certificate(eq, cell, q, v, profile.forced_exponent, rule, notes=notes)

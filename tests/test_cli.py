@@ -354,12 +354,17 @@ def test_search_refuses_unreadable_checkpoints(tmp_path, capsys):
     argv = ["search", "--form", "x2+y2", "--nmax", "6",
             "--out", str(tmp_path / "out"), "--checkpoint", str(ck)]
     assert run_cli(argv, capsys)[0] == cli.EXIT_OK
-    header = ck.read_text().splitlines()[0]
+    lines = ck.read_text().splitlines()
+    header, solution = lines[0], json.loads(lines[3])
+    assert solution["status"] == "SOLUTION" and solution["witness"] == [2, 2]
     bad = [
         # the format checkpoints had before they became JSON lines
         json.dumps({"task_hash": "0" * 64, "frontier": 0, "results": []}),
         header + '\n{"cell": [2, 1]}\n',
         header + '\n{"cell": [2, 1\n',
+        # int() would read [3.9, 2.0] as the cell (3, 2) and str() would take 5
+        *("\n".join([*lines[:3], json.dumps(dict(solution, **field)), *lines[4:]]) + "\n"
+          for field in ({"cell": [3.9, 2.0]}, {"witness": [2.7, "2"]}, {"note": 5})),
     ]
     for text in bad:
         ck.write_text(text)

@@ -18,7 +18,6 @@ from factcert.forms import (
     clear_denominators,
     depress,
     distinct_root_count,
-    is_monomial_after_depression,
     sandwich_threshold,
 )
 
@@ -133,10 +132,10 @@ def test_depress_rejects_degree_below_two():
 
 
 def test_monomial_after_depression():
-    assert is_monomial_after_depression(UnivariatePoly((1, 0, 0)))
-    assert is_monomial_after_depression(UnivariatePoly((4, 4, 1)))  # (2x+1)^2 shifts clean
-    assert not is_monomial_after_depression(UnivariatePoly((1, 0, -1)))
-    assert not is_monomial_after_depression(UnivariatePoly((1, 0, 0, -2)))
+    assert not depress(UnivariatePoly((1, 0, 0))).residual()
+    assert not depress(UnivariatePoly((4, 4, 1))).residual()  # (2x+1)^2 shifts clean
+    assert depress(UnivariatePoly((1, 0, -1))).residual()
+    assert depress(UnivariatePoly((1, 0, 0, -2))).residual()
 
 
 def test_sandwich_threshold_monic_only():

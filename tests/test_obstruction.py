@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from factcert import arith, certify, forms, obstruction
 from factcert.forms import BUNDLED_FORMS, BUNDLED_POLYS, BinaryForm, UnivariatePoly
 from factcert.obstruction import (
+    RULE_BELOW_EXPONENT,
+    RULE_NOT_MULTIPLE,
+    ObstructionProfile,
     has_root_mod_q,
     obstruction_profile,
     scan_obstruction_primes,
@@ -24,6 +27,8 @@ MULTIPLICITY_FORM = BinaryForm(
     factors=((BinaryForm((1, -1)), 2), (BinaryForm((1, 0, 1)), 1)),
     factor_constant=1,
 )
+TARGETS = [*BUNDLED_FORMS.values(), *BUNDLED_POLYS.values(), MULTIPLICITY_FORM]
+TARGET_IDS = [*BUNDLED_FORMS, *BUNDLED_POLYS, "mult"]
 
 
 def _legendre_symbol(a: int, q: int) -> int:
@@ -160,14 +165,9 @@ def test_eligibility_matches_brute_force_oracle():
     assert excluded_by_square > 0
 
 
-# sha256 over (q, eligible, forced_exponent, reason, unbounded, total_degree,
-# univariate) for every bundled form and polynomial and MULTIPLICITY_FORM at
-# every prime below 3000
-PROFILE_PIN = "1d39cc3819745ef0da754ab37c97f4a6cd8ceccb55d2762f56d16383ebd41109"
-
-
-def test_profiles_pinned_below_3000():
-    targets = [*BUNDLED_FORMS.values(), *BUNDLED_POLYS.values(), MULTIPLICITY_FORM]
+def _profile_digest(targets) -> str:
+    """sha256 over (q, eligible, forced_exponent, reason, unbounded,
+    total_degree, univariate) for each target at every prime below 3000."""
     h = hashlib.sha256()
     for target in targets:
         for q in arith.primes_upto(2999):
@@ -175,7 +175,36 @@ def test_profiles_pinned_below_3000():
             row = (q, p.eligible, p.forced_exponent, p.reason, p.unbounded,
                    p.total_degree, p.univariate)
             h.update(repr(row).encode())
-    assert h.hexdigest() == PROFILE_PIN
+    return h.hexdigest()
+
+
+# every bundled form and polynomial and MULTIPLICITY_FORM
+PROFILE_PIN = "1d39cc3819745ef0da754ab37c97f4a6cd8ceccb55d2762f56d16383ebd41109"
+
+# the factored tails the bundled targets leave out: the univariate
+# multiplicity route with a rootless higher factor, a scaled square, a
+# univariate line that is simple, and binary forms with a squared x or y
+EXTRA_PROFILE_TARGETS = {
+    UnivariatePoly((1, 0, 1, 0, 0)): 218,   # x^2 (x^2 + 1)
+    UnivariatePoly((3, 0, 0)): 429,         # 3 x^2
+    UnivariatePoly((1, -2, 3, -4, 2)): 219,  # (x - 1)^2 (x^2 + 2)
+    UnivariatePoly((1, 0, 1, 0)): 0,        # x (x^2 + 1)
+    BinaryForm((1, 0, 1, 0, 0)): 218,       # x^2 (x^2 + y^2)
+    BinaryForm((2, 0, 2)): 218,             # 2 (x^2 + y^2)
+    BinaryForm((0, 0, 1, 0, 1)): 218,       # y^2 (x^2 + y^2)
+}
+EXTRA_PROFILE_PIN = "e5a2b3ab3e0e9e900d8ccdcb2614b32cb61ff7f279c09293ff1152a2ba22f38c"
+
+
+def test_profiles_pinned_below_3000():
+    assert _profile_digest(TARGETS) == PROFILE_PIN
+
+
+def test_extra_profiles_pinned_below_3000():
+    assert _profile_digest(EXTRA_PROFILE_TARGETS) == EXTRA_PROFILE_PIN
+    for target, eligible in EXTRA_PROFILE_TARGETS.items():
+        profiles = [obstruction_profile(target, q) for q in arith.primes_upto(2999)]
+        assert sum(p.eligible for p in profiles) == eligible, target
 
 
 def test_univariate_profiles():
@@ -304,6 +333,80 @@ def test_verify_rejects_overclaimed_multiplicity(monkeypatch, fresh_verify_cache
     overclaim = dataclasses.replace(true_profile, forced_exponent=3)
     monkeypatch.setattr(obstruction, "obstruction_profile", lambda form, q: overclaim)
     assert not verify_forced_exponent(MULTIPLICITY_FORM, 3)
+
+
+def _admitted(profile, v) -> bool:
+    """Can a represented value have valuation v at q, by the profile's fields?
+    A rootless target takes 0 and every valuation from E on (never a positive
+    one when unbounded); a multiplicity target takes the multiples of e and,
+    binary ones, every valuation from the total degree on."""
+    e, d = profile.forced_exponent, profile.total_degree
+    if profile.reason == obstruction.REASON_NO_ROOT:
+        return v == 0 or (e is not None and v >= e)
+    return v % e == 0 or (not profile.univariate and v >= d)
+
+
+@pytest.mark.parametrize("target", TARGETS, ids=TARGET_IDS)
+def test_rule_certifies_exactly_the_valuations_no_value_takes(target):
+    for q in arith.primes_upto(199):
+        profile = obstruction_profile(target, q)
+        if not profile.eligible:
+            assert all(profile.rule(v) is None for v in range(-1, 2 * target.degree + 2))
+            continue
+        name = (RULE_BELOW_EXPONENT if profile.reason == obstruction.REASON_NO_ROOT
+                else RULE_NOT_MULTIPLE)
+        assert profile.rule(0) is None and profile.rule(-1) is None
+        for v in range(1, 2 * target.degree + 2):
+            want = None if _admitted(profile, v) else name
+            assert profile.rule(v) == want, (q, v)
+
+
+@pytest.mark.parametrize(
+    "form", [*BUNDLED_FORMS.values(), MULTIPLICITY_FORM], ids=[*BUNDLED_FORMS, "mult"]
+)
+def test_rule_admits_every_valuation_from_the_verifier_modulus_on(form):
+    # verify_forced_exponent skips values that are 0 mod q^K, so the rule
+    # must certify no v >= K: K is the forced exponent for the no-root rule
+    # and the total degree for the multiplicity rule
+    for q in arith.primes_upto(199):
+        profile = obstruction_profile(form, q)
+        if not profile.eligible:
+            continue
+        multiple = profile.reason == obstruction.REASON_LINEAR_MULTIPLICITY
+        k = profile.total_degree if multiple else profile.forced_exponent
+        assert all(profile.rule(v) is None for v in range(k, k + 3 * form.degree)), q
+
+
+_REAL_RULE = ObstructionProfile.rule
+
+
+def _rule_without_multiple_test(self, v):
+    # the v % e test dropped: every v below the total degree certifies
+    if self.reason == obstruction.REASON_LINEAR_MULTIPLICITY and 0 < v < self.total_degree:
+        return RULE_NOT_MULTIPLE
+    return _REAL_RULE(self, v)
+
+
+def _rule_without_reason_test(self, v):
+    # every binary profile read as rootless with E the total degree
+    if self.eligible and not self.univariate and 0 < v < self.total_degree:
+        return RULE_BELOW_EXPONENT
+    return _REAL_RULE(self, v)
+
+
+@pytest.mark.parametrize(
+    "mutant", [_rule_without_multiple_test, _rule_without_reason_test],
+    ids=[RULE_NOT_MULTIPLE, RULE_BELOW_EXPONENT],
+)
+@pytest.mark.parametrize("q", [3, 7, 11])
+def test_verify_rejects_a_mutated_rule(mutant, q, monkeypatch, fresh_verify_cache):
+    # (x - y)^2 (x^2 + y^2) takes v = 2 at every q here; a rule that
+    # certifies it must fail the verifier, which asks the rule certify uses
+    profile = obstruction_profile(MULTIPLICITY_FORM, q)
+    assert profile.forced_exponent == 2 and profile.rule(2) is None
+    monkeypatch.setattr(ObstructionProfile, "rule", mutant)
+    assert profile.rule(2) is not None
+    assert not verify_forced_exponent(MULTIPLICITY_FORM, q)
 
 
 def _exact_valuation_verdict(form, q, profile):
@@ -453,6 +556,13 @@ def test_forced_exponent_divides_valuations_in_samples(q):
                 val //= q
                 v += 1
             assert v % 2 == 0, (x, y, q)
+
+
+def test_two_repeated_lines_stay_ineligible():
+    # x^2 y^2: each line alone would give the multiplicity rule
+    f = BinaryForm((0, 0, 1, 0, 0))
+    assert f.factorization == (((BinaryForm((0, 1)), 2), (BinaryForm((1, 0)), 2)), 1)
+    assert not any(obstruction_profile(f, q).eligible for q in arith.primes_upto(199))
 
 
 def test_content_prime_ineligible():
