@@ -244,14 +244,14 @@ def _json_value(value, field: str, kind: type = int):
     true, bool() takes "false" and str() takes 1.0."""
     if type(value) is kind:
         return value
-    raise ValueError(f"certificate field {field} must be of type {kind.__name__}, not {value!r}")
+    raise ValueError(f"field {field} must be of type {kind.__name__}, not {value!r}")
 
 
 def _json_list(value, field: str, kind: type = int) -> tuple:
     """A JSON list whose items all have exactly the type kind, as a tuple."""
     if isinstance(value, list) and all(type(x) is kind for x in value):
         return tuple(value)
-    raise ValueError(f"certificate field {field} must be a list of {kind.__name__}, not {value!r}")
+    raise ValueError(f"field {field} must be a list of {kind.__name__}, not {value!r}")
 
 
 # A certificate file repeats one equation on every entry, and a factored
@@ -514,35 +514,27 @@ def recheck(cert: Certificate, *, deep: bool = False) -> bool:
 
 @dataclass(frozen=True)
 class WindowPrimeReport:
-    """Prime availability in the certificate window above m/2.
+    """Eligible primes for m in the certificate window above m/2.
 
-    The claim interval (m/2, m/2 + m/(12 ln m)) is where a prime is
-    guaranteed asymptotically; the relaxed interval (m/2, m] is what the
-    search actually uses.  below_asymptotic marks m too small for the claim
-    interval to contain any integer at all.
+    claim_eligible lists those in the claim interval (m/2, m/2 + m/(12 ln m)),
+    where a prime is guaranteed asymptotically; it is empty when m is too
+    small for the interval to hold an integer.  relaxed_primes lists, largest
+    first, the primes of (m/2, m], the interval the search actually uses, and
+    relaxed_eligible the eligible ones among them.
     """
 
     m: int
-    claim_lo: float
-    claim_hi: float
-    claim_integers: tuple[int, ...]
-    claim_primes: tuple[int, ...]
     claim_eligible: tuple[int, ...]
     relaxed_primes: tuple[int, ...]
     relaxed_eligible: tuple[int, ...]
-    below_asymptotic: bool
-    claim_empty: bool
 
 
 def window_prime_report(target, m: int) -> WindowPrimeReport:
     if m < 10:
         raise ValueError("window analysis needs m >= 10")
-    lo = m / 2
-    hi = m / 2 + m / (12 * math.log(m))
-    first = math.floor(lo) + 1
-    last = math.ceil(hi) - 1
-    integers = tuple(range(first, last + 1))
-    claim_primes = tuple(k for k in integers if arith.is_prime(k))
+    first = math.floor(m / 2) + 1
+    last = math.ceil(m / 2 + m / (12 * math.log(m))) - 1
+    claim_primes = [k for k in range(first, last + 1) if arith.is_prime(k)]
     claim_eligible = tuple(
         q for q in claim_primes if obstruction.obstruction_profile(target, q).eligible
     )
@@ -552,13 +544,7 @@ def window_prime_report(target, m: int) -> WindowPrimeReport:
     )
     return WindowPrimeReport(
         m=m,
-        claim_lo=lo,
-        claim_hi=hi,
-        claim_integers=integers,
-        claim_primes=claim_primes,
         claim_eligible=claim_eligible,
         relaxed_primes=relaxed,
         relaxed_eligible=relaxed_eligible,
-        below_asymptotic=not integers,
-        claim_empty=not claim_eligible,
     )

@@ -73,90 +73,66 @@ _TERM_RE = re.compile(
     r"(?:x(?:\^)?(?P<xe>\d+)?)?"
     r"(?:y(?:\^)?(?P<ye>\d+)?)?$"
 )
+_SIGNED_TERMS_RE = re.compile(r"[+-]?[^+-]+(?:[+-][^+-]+)*")
 
 
-def _split_terms(text: str) -> list[tuple[int, str]]:
-    """[(sign, body)] for a +/- separated token string."""
+def _terms(text: str, poly: bool) -> dict[tuple[int, int], Fraction]:
+    """{(x exponent, y exponent): coefficient} summed over the signed terms of
+    a compressed token string; with poly, a term in y is an error."""
     compact = text.replace(" ", "").lower()
     if not compact:
         raise CLIInputError("empty target expression")
-    out = []
-    sign, body = 1, ""
-    first = True
-    for ch in compact:
-        if ch in "+-" and not first:
-            if not body:
-                raise CLIInputError(f"dangling sign in {text!r}")
-            out.append((sign, body))
-            sign, body = (1 if ch == "+" else -1), ""
-        elif ch in "+-":
-            sign = 1 if ch == "+" else -1
-            first = False
-        else:
-            body += ch
-            first = False
-    if not body:
+    if _SIGNED_TERMS_RE.fullmatch(compact) is None:
         raise CLIInputError(f"dangling sign in {text!r}")
-    out.append((sign, body))
-    return out
+    acc: dict[tuple[int, int], Fraction] = {}
+    for sign, body in re.findall(r"([+-]?)([^+-]+)", compact):
+        m = _TERM_RE.match(body)
+        if m is None or (m["coeff"] is None and "x" not in body and "y" not in body):
+            raise CLIInputError(f"cannot parse term {body!r}")
+        try:
+            coeff = Fraction(m["coeff"] or 1)
+        except ZeroDivisionError:
+            raise CLIInputError(f"zero denominator in term {body!r}") from None
+        # bare "x" means exponent 1; "x2" and "x^2" both mean exponent 2
+        i = int(m["xe"] or 1) if "x" in body else 0
+        j = int(m["ye"] or 1) if "y" in body else 0
+        if poly and j:
+            raise CLIInputError(f"polynomial {text!r} must use x only")
+        acc[i, j] = acc.get((i, j), 0) + (-coeff if sign == "-" else coeff)
+    return acc
 
 
-def _parse_term(body: str) -> tuple[Fraction, int, int]:
-    m = _TERM_RE.match(body)
-    if m is None or not body:
-        raise CLIInputError(f"cannot parse term {body!r}")
-    coeff_s, xe, ye = m.group("coeff"), m.group("xe"), m.group("ye")
-    if coeff_s is None and "x" not in body and "y" not in body:
-        raise CLIInputError(f"cannot parse term {body!r}")
-    try:
-        coeff = Fraction(coeff_s) if coeff_s else Fraction(1)
-    except ZeroDivisionError:
-        raise CLIInputError(f"zero denominator in term {body!r}") from None
-    # bare "x" means exponent 1; "x2" and "x^2" both mean exponent 2
-    i = (1 if xe is None else int(xe)) if "x" in body else 0
-    j = (1 if ye is None else int(ye)) if "y" in body else 0
-    return coeff, i, j
+def _check_grammar_degree(d: int, kind: str) -> None:
+    if d > GRAMMAR_DEGREE_LIMIT:
+        raise CLIInputError(
+            f"degree {d} exceeds the token grammar limit "
+            f"({GRAMMAR_DEGREE_LIMIT}); pass --kind {kind} --coeffs instead"
+        )
 
 
 def parse_form_token(text: str) -> list[Fraction]:
     """Homogeneous binary form from compressed tokens; coefficients of
     x^(d-j) y^j for j = 0..d."""
-    acc: dict[tuple[int, int], Fraction] = {}
-    for sign, body in _split_terms(text):
-        coeff, i, j = _parse_term(body)
-        acc[(i, j)] = acc.get((i, j), Fraction(0)) + sign * coeff
+    acc = _terms(text, poly=False)
     degrees = {i + j for i, j in acc}
     if len(degrees) != 1:
         raise CLIInputError(f"form {text!r} is not homogeneous")
     d = degrees.pop()
     if d < 1:
         raise CLIInputError(f"form {text!r} has no variables")
-    if d > GRAMMAR_DEGREE_LIMIT:
-        raise CLIInputError(
-            f"degree {d} exceeds the token grammar limit "
-            f"({GRAMMAR_DEGREE_LIMIT}); pass --kind form --coeffs instead"
-        )
+    _check_grammar_degree(d, "form")
     return [acc.get((d - j, j), Fraction(0)) for j in range(d + 1)]
 
 
 def parse_poly_token(text: str) -> list[Fraction]:
     """Univariate polynomial from compressed tokens; leading coefficient
     first."""
-    acc: dict[int, Fraction] = {}
-    for sign, body in _split_terms(text):
-        coeff, i, j = _parse_term(body)
-        if j:
-            raise CLIInputError(f"polynomial {text!r} must use x only")
-        acc[i] = acc.get(i, Fraction(0)) + sign * coeff
-    d = max(acc)
+    acc = _terms(text, poly=True)
+    d = max(i for i, _ in acc)
     if d < 1:
         raise CLIInputError(f"polynomial {text!r} is constant")
-    if d > GRAMMAR_DEGREE_LIMIT:
-        raise CLIInputError(
-            f"degree {d} exceeds the token grammar limit "
-            f"({GRAMMAR_DEGREE_LIMIT}); pass --kind poly --coeffs instead"
-        )
-    return [acc.get(i, Fraction(0)) for i in range(d, -1, -1)]
+    _check_grammar_degree(d, "poly")
+    return [acc.get((i, 0), Fraction(0)) for i in range(d, -1, -1)]
 
 
 def _parse_coeff_list(text: str) -> list[Fraction]:
@@ -638,8 +614,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     task, expected = PRESETS[name]()
     if args.workers is not None:
         task = dataclasses.replace(task, workers=args.workers)
-    cfg = {"preset": name, "workers": task.workers}
-    cfg_hash = config_hash(cfg)
+    cfg_hash = config_hash({"preset": name})
     report = solver_mod.run_search(task)
     outdir = Path(args.out or f"runs/{name.lower()}")
     _write_search_outputs(outdir, cfg_hash, task, report)

@@ -143,15 +143,8 @@ class UnivariatePoly:
     def lead(self) -> int:
         return self.coeffs[0]
 
-    @property
-    def constant(self) -> int:
-        return self.coeffs[-1]
-
     def evaluate(self, x: int) -> int:
         return _eval_int(self.coeffs, x)
-
-    def content(self) -> int:
-        return _content(self.coeffs)
 
     @functools.cached_property
     def factorization(self) -> tuple[tuple[tuple["UnivariatePoly", int], ...], int]:
@@ -284,17 +277,15 @@ def clear_denominators(coeffs) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class DepressedForm:
-    """Monic image q with q(x_scale*x + shift) == multiplier * source(x).
+    """Monic image q of f = a0*x^d + a1*x^(d-1) + ... with
+    q(a0*d*x + a1) == multiplier * f(x).
 
-    q is monic of the source degree with zero second coefficient; shift is the
-    integer b_1/d (integrality is automatic for integer sources).
+    q is monic of degree d with zero second coefficient, and multiplier is
+    d^d * a0^(d-1).
     """
 
     q: UnivariatePoly
     multiplier: int
-    x_scale: int
-    shift: int
-    source: UnivariatePoly
 
     def residual(self) -> tuple[int, ...]:
         """Coefficients of q minus its leading monomial (the obstruction to x^d)."""
@@ -320,9 +311,6 @@ def depress(poly: UnivariatePoly) -> DepressedForm:
     return DepressedForm(
         q=UnivariatePoly(q_coeffs),
         multiplier=d**d * a0 ** (d - 1),
-        x_scale=a0 * d,
-        shift=poly.coeffs[1],
-        source=poly,
     )
 
 

@@ -382,6 +382,58 @@ def test_rho_route_tries_split_pieces_ascending():
     assert recheck(cert)
 
 
+def _refuse_partial_factor(*args, **kwargs):
+    raise AssertionError("arith.partial_factor ran")
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_cached_rest_replay_ends_at_the_callers_stop(monkeypatch, k):
+    # 16! + 1 = 17 * 61 * 137 * 139 * 1059511; a stopped replay of the cached
+    # factorization shows stop the primes a fresh run would, in proof order
+    monkeypatch.setattr(certify, "_REST_CACHE", {})
+    steps = arith.DEFAULT_RHO_STEPS
+    rest = math.factorial(16) + 1
+    order = []
+    arith.partial_factor(rest, rho_steps=steps, stop=lambda p: order.append(p) or False)
+    assert order == [17, 61, 137, 139, 1059511]
+    full = certify.rest_factorization(SUM_SQUARES, (16, 1), steps)
+    monkeypatch.setattr(arith, "partial_factor", _refuse_partial_factor)
+    seen = []
+
+    def accept(p):
+        seen.append(p)
+        return p == order[k]
+
+    assert certify.rest_factorization(SUM_SQUARES, (16, 1), steps, stop=accept) is None
+    assert seen == order[: k + 1]
+    assert certify.rest_factorization(SUM_SQUARES, (16, 1), steps) == full
+
+
+def test_rest_of_a_wide_gap_cell_is_left_whole(monkeypatch):
+    monkeypatch.setattr(certify, "RHO_COFACTOR_GAP_LIMIT", 3)
+    monkeypatch.setattr(arith, "partial_factor", _refuse_partial_factor)
+    rest = math.factorial(10) // math.factorial(2) + 1
+    got = certify.rest_factorization(SUM_SQUARES, (10, 2), arith.DEFAULT_RHO_STEPS)
+    assert got == ({}, [rest])
+
+
+def test_recheck_above_the_exact_limit_uses_left_valuation(monkeypatch):
+    cert = certify_cell(SUM_SQUARES, (12, 5))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return left_valuation(*args)
+
+    monkeypatch.setattr(certify, "RECHECK_EXACT_LIMIT", 5)
+    monkeypatch.setattr(certify, "left_valuation", counting)
+    assert recheck(cert)
+    assert calls == [(SUM_SQUARES, (12, 5), cert.prime)]
+    data = cert.to_dict()
+    data["valuation"] += 1
+    assert not recheck(Certificate.from_dict(data))
+
+
 def test_cofactor_filter_bounds_valuation_calls(monkeypatch):
     calls = []
     original = valuation.combined_valuation

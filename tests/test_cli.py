@@ -65,6 +65,47 @@ def test_token_grammar_rejections():
         cli.parse_poly_token("1/0x^2")
 
 
+_LIMIT = "exceeds the token grammar limit (4); pass --kind {} --coeffs instead"
+
+
+@pytest.mark.parametrize(
+    "parse, text, expected",
+    [
+        ("form", "x2+y2", [1, 0, 1]),
+        ("form", " X2 - XY + 3y2 ", [1, -1, 3]),
+        ("form", "-x2+y2", [-1, 0, 1]),
+        ("form", "+x^2+y^2", [1, 0, 1]),
+        ("form", "x2+x2", [2, 0, 0]),
+        ("form", "x+y", [1, 1]),
+        ("form", "1/2x2+y2", [Fraction(1, 2), 0, 1]),
+        ("poly", "x^3-3x^2+2x", [1, -3, 2, 0]),
+        ("form", "", "empty target expression"),
+        ("form", "+", "dangling sign in '+'"),
+        ("form", "x2+", "dangling sign in 'x2+'"),
+        ("form", "x2++y2", "dangling sign in 'x2++y2'"),
+        ("form", "--x2", "dangling sign in '--x2'"),
+        ("form", "x2+z2", "cannot parse term 'z2'"),
+        ("poly", "x+/", "cannot parse term '/'"),
+        ("form", "x^^2", "cannot parse term 'x^^2'"),
+        ("form", "1/0x2", "zero denominator in term '1/0x2'"),
+        ("form", "x2+y", "form 'x2+y' is not homogeneous"),
+        ("form", "5", "form '5' has no variables"),
+        ("poly", "5", "polynomial '5' is constant"),
+        ("poly", "y+z", "polynomial 'y+z' must use x only"),
+        ("form", "x5+y5", "degree 5 " + _LIMIT.format("form")),
+        ("poly", "x^7-1", "degree 7 " + _LIMIT.format("poly")),
+    ],
+)
+def test_token_grammar_table(parse, text, expected):
+    parser = cli.parse_form_token if parse == "form" else cli.parse_poly_token
+    if isinstance(expected, list):
+        assert parser(text) == expected
+        return
+    with pytest.raises(cli.CLIInputError) as exc:
+        parser(text)
+    assert str(exc.value) == expected
+
+
 @pytest.mark.parametrize(
     "cfg, expected",
     [
@@ -371,6 +412,8 @@ def test_search_refuses_unreadable_checkpoints(tmp_path, capsys):
         code, _, err = run_cli(argv, capsys)
         assert code == cli.EXIT_INPUT, text
         assert str(ck) in err and "Traceback" not in err
+        # a checkpoint line is a cell result, not a certificate
+        assert "certificate" not in err
 
 
 def test_search_creates_the_checkpoint_directory(tmp_path, capsys):
